@@ -11,7 +11,7 @@ are concatenated along channels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,8 +61,6 @@ class HeadPatchSet:
     channels: int
     cell_h: int
     cell_w: int
-    frame_of: np.ndarray = field(repr=False, default=None)
-    cell_of: np.ndarray = field(repr=False, default=None)
 
     def __post_init__(self):
         n = self.frames * self.scale ** 2
@@ -71,11 +69,15 @@ class HeadPatchSet:
                 f"token matrix {self.tokens.shape} inconsistent with "
                 f"T={self.frames}, l={self.scale}, C={self.channels}, "
                 f"cell={self.cell_h}x{self.cell_w}")
-        if self.frame_of is None:
-            idx = np.arange(n)
-            self.frame_of = idx // self.scale ** 2
-            rem = idx % self.scale ** 2
-            self.cell_of = np.stack([rem // self.scale, rem % self.scale], axis=1)
+
+    @property
+    def frame_of(self) -> np.ndarray:
+        return np.arange(self.count) // self.scale ** 2
+
+    @property
+    def cell_of(self) -> np.ndarray:
+        rem = np.arange(self.count) % self.scale ** 2
+        return np.stack([rem // self.scale, rem % self.scale], axis=1)
 
     @property
     def count(self) -> int:
@@ -141,8 +143,7 @@ def head_attention(qp: HeadPatchSet, kp: HeadPatchSet, vp: HeadPatchSet,
             map_h=qp.scale * qp.cell_h, map_w=qp.scale * qp.cell_w))
     attended = tt.matmul(alpha, vp.tokens)
     return HeadPatchSet(attended, frames=vp.frames, scale=vp.scale, channels=vp.channels,
-                        cell_h=vp.cell_h, cell_w=vp.cell_w,
-                        frame_of=vp.frame_of, cell_of=vp.cell_of)
+                        cell_h=vp.cell_h, cell_w=vp.cell_w)
 
 
 def reassemble_and_concat(heads: list) -> Tensor:

@@ -9,7 +9,6 @@ an empty file parses to the default run.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
 from pathlib import Path
 
 from .model import ModelConfig
@@ -20,69 +19,62 @@ class ConfigError(ValueError):
     """Malformed run configuration text."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    # model
-    frames: int = 8
-    height: int = 32
-    width: int = 32
-    embed_stride: int = 8
-    embed_channels: int = 12
-    scales: tuple = (1, 2)
-    depth: int = 2
-    ffn_ratio: int = 4
-    # synthetic data
-    train_clips: int = 400
-    dev_clips: int = 50
-    test_clips: int = 50
-    source_frames: int = 8
-    texture_amp: float = 0.1
-    pulse_amp: float = 0.15
-    pulse_freq_min: float = 0.5
-    pulse_freq_max: float = 2.0
-    noise_sigma: float = 0.02
-    # optimization
-    lr: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    steps: int = 2000
-    batch_size: int = 16
-    warmup_frac: float = 0.05
-    sample_mode: str = "uniform"
-    augment: bool = True
-    # paths and seeding
-    data_dir: str = ""
-    out_dir: str = "runs/default"
-    seed: int = 0
+def _shared_fields(cls, skip):
+    return [(f.name, f.type, f.default)
+            for f in dataclasses.fields(cls) if f.name not in skip]
 
-    def __post_init__(self):
-        object.__setattr__(self, "scales", tuple(int(s) for s in self.scales))
-        if self.sample_mode not in ("uniform", "random-interval"):
-            raise ConfigError(f"sample_mode must be uniform or random-interval, "
-                              f"got {self.sample_mode!r}")
-        if self.batch_size < 1 or self.steps < 0:
-            raise ConfigError("batch_size must be >= 1 and steps >= 0")
-        if not 0 <= self.warmup_frac <= 1:
-            raise ConfigError("warmup_frac must lie in [0, 1]")
-        if self.source_frames < self.frames:
-            raise ConfigError(f"source_frames {self.source_frames} < clip length "
-                              f"{self.frames}")
 
-    def model_config(self) -> ModelConfig:
-        return ModelConfig(frames=self.frames, height=self.height, width=self.width,
-                           embed_stride=self.embed_stride,
-                           embed_channels=self.embed_channels, scales=self.scales,
-                           depth=self.depth, ffn_ratio=self.ffn_ratio,
-                           seed=self.seed)
+def _post_init(self):
+    object.__setattr__(self, "scales", tuple(int(s) for s in self.scales))
+    if self.sample_mode not in ("uniform", "random-interval"):
+        raise ConfigError(f"sample_mode must be uniform or random-interval, "
+                          f"got {self.sample_mode!r}")
+    if self.batch_size < 1 or self.steps < 0:
+        raise ConfigError("batch_size must be >= 1 and steps >= 0")
+    if not 0 <= self.warmup_frac <= 1:
+        raise ConfigError("warmup_frac must lie in [0, 1]")
+    if self.source_frames < self.frames:
+        raise ConfigError(f"source_frames {self.source_frames} < clip length "
+                          f"{self.frames}")
+    try:
+        self.model_config()
+        self.synth_spec()
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
-    def synth_spec(self) -> SynthSpec:
-        return SynthSpec(train_clips=self.train_clips, dev_clips=self.dev_clips,
-                         test_clips=self.test_clips, height=self.height,
-                         width=self.width, source_frames=self.source_frames,
-                         texture_amp=self.texture_amp, pulse_amp=self.pulse_amp,
-                         pulse_freq_min=self.pulse_freq_min,
-                         pulse_freq_max=self.pulse_freq_max,
-                         noise_sigma=self.noise_sigma, seed=self.seed)
+
+def _project(self, cls):
+    """Build ``cls`` from the run fields it shares by name; its other fields
+    keep their defaults."""
+    return cls(**{f.name: getattr(self, f.name) for f in dataclasses.fields(cls)
+                  if hasattr(self, f.name)})
+
+
+# Model keys, then data keys, are declared once in ModelConfig and SynthSpec;
+# the optimization, path and seed keys follow. Field order is dump order.
+RunConfig = dataclasses.make_dataclass(
+    "RunConfig",
+    _shared_fields(ModelConfig, ("num_classes", "seed"))
+    + _shared_fields(SynthSpec, ("height", "width", "seed"))
+    + [("lr", float, 0.001),
+       ("beta1", float, 0.9),
+       ("beta2", float, 0.999),
+       ("steps", int, 2000),
+       ("batch_size", int, 16),
+       ("warmup_frac", float, 0.05),
+       ("sample_mode", str, "uniform"),
+       ("augment", bool, True),
+       ("data_dir", str, ""),
+       ("out_dir", str, "runs/default"),
+       ("seed", int, 0)],
+    namespace={
+        "__doc__": "Every key of a run; invalid model or data keys fail at construction.",
+        "__module__": __name__,
+        "__post_init__": _post_init,
+        "model_config": lambda self: _project(self, ModelConfig),
+        "synth_spec": lambda self: _project(self, SynthSpec),
+    },
+    frozen=True)
 
 
 _FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}

@@ -39,7 +39,8 @@ class QKVMaps(NamedTuple):
     v: Tensor
 
 
-def _as_frames(clip, dtype) -> Tensor:
+def as_frames(clip, dtype) -> Tensor:
+    """The [T, 3, H, W] pixels of a VideoClip, array or Tensor as a Tensor."""
     frames = clip.frames if isinstance(clip, VideoClip) else clip
     if isinstance(frames, Tensor):
         return frames
@@ -52,7 +53,7 @@ def conv_token_embed(clip, w: Tensor, b: Tensor, stride: int) -> Tensor:
     The kernel extent must equal the stride (non-overlapping tokenization) and
     the spatial extents must divide by it.
     """
-    x = _as_frames(clip, w.dtype)
+    x = as_frames(clip, w.dtype)
     t, cin, h, wid = x.shape
     kh, kw = w.shape[2], w.shape[3]
     if kh != stride or kw != stride:

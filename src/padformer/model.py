@@ -20,7 +20,7 @@ from scipy.stats import truncnorm
 from . import tensor as tt
 from . import vpt
 from .attention import ScaleConfig, multiscale_attention
-from .embed import VideoClip, conv_ffn, conv_project, conv_token_embed
+from .embed import VideoClip, as_frames, conv_ffn, conv_project, conv_token_embed
 from .rng import stream
 from .tensor import AdamState, ShapeError, Tensor, adam_step
 
@@ -113,22 +113,14 @@ def param_count(params: dict) -> int:
     return sum(p.size for p in params.values())
 
 
-def _clip_array(clip) -> np.ndarray:
-    if isinstance(clip, VideoClip):
-        return np.asarray(clip.frames)
-    if isinstance(clip, Tensor):
-        return clip.data
-    return np.asarray(clip)
-
-
 def forward(clip, params: dict, cfg: ModelConfig, records: list | None = None) -> Tensor:
     """Logits [num_classes] for one clip; appends per-head attention weights
     to ``records`` when a list is supplied."""
-    frames = _clip_array(clip)
+    frames = as_frames(clip, params["embed.weight"].dtype)
     want = (cfg.frames, 3, cfg.height, cfg.width)
     if frames.shape != want:
         raise ShapeError(f"clip shape {frames.shape} does not match config {want}")
-    x = conv_token_embed(clip, params["embed.weight"], params["embed.bias"],
+    x = conv_token_embed(frames, params["embed.weight"], params["embed.bias"],
                          cfg.embed_stride)
     scale_cfg = cfg.scale_config
     for i in range(cfg.depth):
@@ -266,11 +258,16 @@ def load_checkpoint(path, cfg: ModelConfig | None = None) -> dict:
     if not manifest.is_file():
         raise FileNotFoundError(f"no checkpoint manifest at {manifest}")
     params = {}
-    for line in manifest.read_text(encoding="utf-8").splitlines():
+    lines = manifest.read_text(encoding="utf-8").splitlines()
+    for line_no, line in enumerate(lines, start=1):
         if not line.strip():
             continue
-        name, rel = line.split("\t")
-        params[name] = tt.param(vpt.read_tensor(root / rel))
+        where = f"{manifest} line {line_no}"
+        fields = line.split("\t")
+        if len(fields) != 2:
+            raise ValueError(f"{where}: expected name<TAB>path, got {line!r}")
+        name, rel = fields
+        params[name] = tt.param(vpt.read_member(root, rel, where))
     if cfg is not None:
         want = parameter_shapes(cfg)
         missing = sorted(set(want) - set(params))

@@ -171,10 +171,12 @@ def load_store(path) -> list:
         raise FileNotFoundError(f"no dataset manifest at {manifest}")
     records = []
     with open(manifest, encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
+        reader = csv.DictReader(fh)
+        for row in reader:
             records.append(ClipRecord(
                 clip_id=row["clip_id"],
-                frames=vpt.read_tensor(root / row["path"]),
+                frames=vpt.read_member(root, row["path"],
+                                       f"{manifest} line {reader.line_num}"),
                 label=int(row["label"]),
                 split=row["split"]))
     return records

@@ -16,7 +16,7 @@ from scipy.special import erf
 
 __all__ = [
     "Tensor", "Tape", "ShapeError", "tensor", "param", "record", "backward",
-    "add", "sub", "mul", "scale", "relu", "gelu", "matmul", "conv2d",
+    "add", "mul", "scale", "gelu", "matmul", "conv2d",
     "softmax", "layer_norm", "reshape", "transpose", "concat", "split",
     "mean", "AdamState", "adam_step",
 ]
@@ -66,25 +66,8 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype.name}, leaf={self.requires_grad})"
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, other)
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def tensor(data, dtype=np.float32) -> Tensor:
@@ -215,11 +198,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return record(a.data + b.data, (a, b), lambda g: (g, g))
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape(a, b, "sub")
-    return record(a.data - b.data, (a, b), lambda g: (g, -g))
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape(a, b, "mul")
     ad, bd = a.data, b.data
@@ -229,11 +207,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 def scale(x: Tensor, s: float) -> Tensor:
     s = float(s)
     return record(x.data * s, (x,), lambda g: (g * s,))
-
-
-def relu(x: Tensor) -> Tensor:
-    mask = x.data > 0
-    return record(np.where(mask, x.data, 0.0), (x,), lambda g: (g * mask,))
 
 
 def gelu(x: Tensor) -> Tensor:
@@ -464,18 +437,18 @@ def mean(x: Tensor, axes) -> Tensor:
 # optimizer
 
 class AdamState:
-    """First/second-moment buffers plus the shared step counter."""
+    """First/second-moment buffers, their decay rates and the shared step counter."""
 
-    def __init__(self, params: dict):
+    def __init__(self, params: dict, betas=(0.9, 0.999)):
         self.step = 0
+        self.betas = betas
         self.m = {name: np.zeros_like(p.data) for name, p in params.items()}
         self.v = {name: np.zeros_like(p.data) for name, p in params.items()}
 
 
-def adam_step(params: dict, state: AdamState, lr: float,
-              betas=(0.9, 0.999), eps: float = 1e-8):
+def adam_step(params: dict, state: AdamState, lr: float, eps: float = 1e-8):
     """One Adam update with bias correction; params with ``grad=None`` are skipped."""
-    b1, b2 = betas
+    b1, b2 = state.betas
     state.step += 1
     t = state.step
     c1 = 1.0 - b1 ** t

@@ -8,6 +8,7 @@ maps.
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
@@ -56,3 +57,16 @@ def read_tensor(path) -> np.ndarray:
         raise VptFormatError(f"{path}: payload is {len(raw) - offset} bytes, expected {count * dtype.itemsize}")
     data = np.frombuffer(raw, dtype=dtype, count=count, offset=offset)
     return data.reshape(shape).astype(dtype.newbyteorder("="), copy=True)
+
+
+def read_member(root: Path, rel: str, where: str) -> np.ndarray:
+    """Read the tensor a manifest lists at ``rel`` under ``root``.
+
+    A path that leads outside ``root`` is rejected, naming the manifest line
+    ``where``. The check is lexical (no file-system lookups), so loading a
+    store of thousands of clips stays I/O-bound.
+    """
+    norm = os.path.normpath(rel)
+    if os.path.isabs(norm) or norm.split(os.sep, 1)[0] == os.pardir:
+        raise ValueError(f"{where}: path {rel!r} resolves outside {root}")
+    return read_tensor(root / rel)

@@ -1,5 +1,7 @@
 """Tests for the key=value run-configuration format."""
 
+import dataclasses
+
 import pytest
 
 from padformer.config import (
@@ -9,6 +11,39 @@ from padformer.config import (
     load_config,
     parse_config,
 )
+from padformer.model import ModelConfig
+from padformer.synth import SynthSpec
+
+DEFAULT_DUMP = """\
+frames=8
+height=32
+width=32
+embed_stride=8
+embed_channels=12
+scales=1,2
+depth=2
+ffn_ratio=4
+train_clips=400
+dev_clips=50
+test_clips=50
+source_frames=8
+texture_amp=0.1
+pulse_amp=0.15
+pulse_freq_min=0.5
+pulse_freq_max=2.0
+noise_sigma=0.02
+lr=0.001
+beta1=0.9
+beta2=0.999
+steps=2000
+batch_size=16
+warmup_frac=0.05
+sample_mode=uniform
+augment=true
+data_dir=
+out_dir=runs/default
+seed=0
+"""
 
 
 def test_empty_text_gives_defaults():
@@ -21,6 +56,18 @@ def test_round_trip_default_and_modified():
                           sample_mode="random-interval", data_dir="d",
                           texture_amp=0.07)):
         assert parse_config(dump_config(cfg)) == cfg
+
+
+def test_default_dump_text_is_pinned():
+    assert dump_config(RunConfig()) == DEFAULT_DUMP
+
+
+def test_model_and_data_defaults_match_run_defaults():
+    run = RunConfig()
+    for cls in (ModelConfig, SynthSpec):
+        for f in dataclasses.fields(cls):
+            if hasattr(run, f.name):
+                assert getattr(run, f.name) == f.default, (cls.__name__, f.name)
 
 
 def test_dump_covers_every_key_once():
@@ -87,6 +134,15 @@ def test_validation_errors():
         RunConfig(warmup_frac=1.5)
     with pytest.raises(ConfigError, match="source_frames"):
         RunConfig(frames=8, source_frames=4)
+
+
+def test_invalid_model_or_data_keys_fail_at_parse():
+    with pytest.raises(ConfigError, match="not divisible by stride 8"):
+        parse_config("height=30\n")
+    with pytest.raises(ConfigError, match="channels not divisible"):
+        parse_config("embed_channels=7\n")
+    with pytest.raises(ConfigError, match="noise_sigma"):
+        parse_config("noise_sigma=-1\n")
 
 
 def test_model_config_and_synth_spec_share_seed_and_geometry():

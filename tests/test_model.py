@@ -1,15 +1,20 @@
 """End-to-end classifier: forward contract, loss, training step, checkpoints."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from padformer import tensor as T
+from padformer.config import RunConfig
 from padformer.embed import VideoClip
+from padformer.harness import train_model
 from padformer.model import (ModelConfig, augment_frames, cross_entropy,
                              forward, init_params, load_checkpoint,
                              param_count, parameter_shapes, predict_score,
                              sample_frames, save_checkpoint, train_step,
                              zero_grads)
+from padformer.synth import generate_dataset, split_records
 from padformer.tensor import AdamState, ShapeError
 
 from gradcheck import assert_grad_close, numeric_grad
@@ -179,6 +184,16 @@ def test_overfit_single_clip():
     assert loss < 0.01
 
 
+def test_train_model_uses_the_configured_adam_betas():
+    cfg = RunConfig(frames=2, height=16, width=16, embed_channels=6, depth=1,
+                    train_clips=2, dev_clips=1, test_clips=1, source_frames=2,
+                    steps=3, batch_size=2)
+    records = split_records(generate_dataset(cfg.synth_spec()), "train")
+    default = train_model(cfg, records).params
+    slower = train_model(replace(cfg, beta1=0.5), records).params
+    assert any(not np.array_equal(default[n].data, slower[n].data) for n in default)
+
+
 def test_fixed_seed_runs_are_bitwise_identical():
     def run():
         params = init_params(TINY)
@@ -291,3 +306,23 @@ def test_checkpoint_shape_validation(tmp_path):
 def test_checkpoint_missing_manifest(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_checkpoint(tmp_path / "nothing", TINY)
+
+
+def test_checkpoint_manifest_line_without_tab_names_the_line(tmp_path):
+    save_checkpoint(tmp_path / "ckpt", init_params(TINY))
+    manifest = tmp_path / "ckpt" / "manifest.tsv"
+    lines = manifest.read_text(encoding="utf-8").splitlines()
+    lines[1] = lines[1].replace("\t", " ")
+    manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"manifest\.tsv line 2: expected name<TAB>path"):
+        load_checkpoint(tmp_path / "ckpt")
+
+
+def test_checkpoint_path_outside_its_root_rejected(tmp_path):
+    save_checkpoint(tmp_path / "ckpt", init_params(TINY))
+    (tmp_path / "ckpt" / "tensors" / "head_bias.vpt").rename(tmp_path / "head_bias.vpt")
+    for rel in ("../head_bias.vpt", str(tmp_path / "head_bias.vpt")):
+        (tmp_path / "ckpt" / "manifest.tsv").write_text(
+            f"head.bias\t{rel}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"manifest\.tsv line 1: .*resolves outside"):
+            load_checkpoint(tmp_path / "ckpt")

@@ -143,6 +143,18 @@ def test_load_store_missing_manifest(tmp_path):
         load_store(tmp_path / "nowhere")
 
 
+def test_store_path_outside_its_root_rejected(tmp_path):
+    records = generate_dataset(SMALL)[:2]
+    write_store(tmp_path / "data", records)
+    clip = f"clips/{records[1].clip_id}.vpt"
+    (tmp_path / "data" / clip).rename(tmp_path / "outside.vpt")
+    manifest = tmp_path / "data" / "manifest.csv"
+    text = manifest.read_text(encoding="utf-8")
+    manifest.write_text(text.replace(clip, "../outside.vpt"), encoding="utf-8")
+    with pytest.raises(ValueError, match=r"manifest\.csv line 3: .*resolves outside"):
+        load_store(tmp_path / "data")
+
+
 def test_split_records_raises_on_empty():
     records = [ClipRecord("x", np.zeros((1, 3, 4, 4), np.float32), 0, "train")]
     assert split_records(records, "train") == records
