@@ -6,7 +6,9 @@ token, and stacks the tokens of all T frames into a single sequence of
 N = T * l**2 patches. Attention therefore mixes same-frame pairs (short-range,
 spatial) and cross-frame pairs (long-range, temporal) inside one score matrix.
 Attended patches are placed back at their frame/grid positions and the heads
-are concatenated along channels.
+are concatenated along channels. Maps are [T, C, H, W] for one clip or
+[B, T, C, H, W] for a batch; clips in a batch attend only within themselves,
+as one batched matmul per head.
 """
 
 from __future__ import annotations
@@ -50,9 +52,10 @@ class ScaleConfig:
 class HeadPatchSet:
     """The N = T * l**2 flattened patch tokens of one head.
 
-    ``tokens`` is [N, D] with D = channels * cell_h * cell_w. Token order is
-    frame-major, then grid row, then grid column; ``frame_of`` and ``cell_of``
-    map token index back to its source frame and grid cell.
+    ``tokens`` is [N, D] (one clip) or [B, N, D] (a batch) with
+    D = channels * cell_h * cell_w. Token order is frame-major, then grid row,
+    then grid column; ``frame_of`` and ``cell_of`` map token index back to its
+    source frame and grid cell.
     """
 
     tokens: Tensor
@@ -64,7 +67,8 @@ class HeadPatchSet:
 
     def __post_init__(self):
         n = self.frames * self.scale ** 2
-        if self.tokens.shape != (n, self.channels * self.cell_h * self.cell_w):
+        if self.tokens.ndim not in (2, 3) or \
+                self.tokens.shape[-2:] != (n, self.channels * self.cell_h * self.cell_w):
             raise ShapeError(
                 f"token matrix {self.tokens.shape} inconsistent with "
                 f"T={self.frames}, l={self.scale}, C={self.channels}, "
@@ -81,16 +85,17 @@ class HeadPatchSet:
 
     @property
     def count(self) -> int:
-        return self.tokens.shape[0]
+        return self.tokens.shape[-2]
 
     @property
     def dim(self) -> int:
-        return self.tokens.shape[1]
+        return self.tokens.shape[-1]
 
 
 @dataclass
 class AttentionRecord:
-    """Row-stochastic attention weights of one head, kept for map export."""
+    """Row-stochastic attention weights of one head for one clip, kept for
+    map export; ``clip`` is the clip's index in its batch."""
 
     layer: int
     head: int
@@ -100,26 +105,36 @@ class AttentionRecord:
     cell_of: np.ndarray
     map_h: int
     map_w: int
+    clip: int = 0
+
+
+def _batch_axes(lead: tuple, axes: tuple) -> tuple:
+    # a per-clip permutation, applied after the leading batch axes
+    return tuple(range(len(lead))) + tuple(len(lead) + a for a in axes)
 
 
 def partition_patches(f: Tensor, scale: int) -> HeadPatchSet:
-    """Split each frame of [T, C, H, W] into an l x l grid of flattened tokens."""
-    t, c, h, w = f.shape
+    """Split each frame of [T, C, H, W] (or [B, T, C, H, W]) into an l x l grid
+    of flattened tokens: [T * l * l, C * H/l * W/l] (or [B, ...])."""
+    if f.ndim not in (4, 5):
+        raise ShapeError(f"expected [T, C, H, W] or [B, T, C, H, W] maps, got {f.shape}")
+    lead, (t, c, h, w) = f.shape[:-4], f.shape[-4:]
     if h % scale or w % scale:
         raise ShapeError(f"scale {scale} does not divide map extent {h}x{w}")
     ph, pw = h // scale, w // scale
-    g = tt.reshape(f, (t, c, scale, ph, scale, pw))
-    g = tt.transpose(g, (0, 2, 4, 1, 3, 5))          # [T, l, l, C, ph, pw]
-    tokens = tt.reshape(g, (t * scale * scale, c * ph * pw))
+    g = tt.reshape(f, lead + (t, c, scale, ph, scale, pw))
+    g = tt.transpose(g, _batch_axes(lead, (0, 2, 4, 1, 3, 5)))   # [.., T, l, l, C, ph, pw]
+    tokens = tt.reshape(g, lead + (t * scale * scale, c * ph * pw))
     return HeadPatchSet(tokens, frames=t, scale=scale, channels=c, cell_h=ph, cell_w=pw)
 
 
 def unpartition_patches(ps: HeadPatchSet) -> Tensor:
     """Place every token back at its frame/grid position; inverse of partition."""
     t, l, c, ph, pw = ps.frames, ps.scale, ps.channels, ps.cell_h, ps.cell_w
-    g = tt.reshape(ps.tokens, (t, l, l, c, ph, pw))
-    g = tt.transpose(g, (0, 3, 1, 4, 2, 5))          # [T, C, l, ph, l, pw]
-    return tt.reshape(g, (t, c, l * ph, l * pw))
+    lead = ps.tokens.shape[:-2]
+    g = tt.reshape(ps.tokens, lead + (t, l, l, c, ph, pw))
+    g = tt.transpose(g, _batch_axes(lead, (0, 3, 1, 4, 2, 5)))   # [.., T, C, l, ph, l, pw]
+    return tt.reshape(g, lead + (t, c, l * ph, l * pw))
 
 
 def head_attention(qp: HeadPatchSet, kp: HeadPatchSet, vp: HeadPatchSet,
@@ -128,19 +143,23 @@ def head_attention(qp: HeadPatchSet, kp: HeadPatchSet, vp: HeadPatchSet,
 
     Scores are q . k / sqrt(D) with D the flattened patch dimension of this
     head, softmaxed per query row; the attended tokens keep the query
-    geometry. When ``record`` is given the weight matrix is appended to it.
+    geometry. Batched token sets ([B, N, D]) attend clip by clip in one
+    batched matmul. When ``record`` is given, one weight matrix per clip is
+    appended to it.
     """
-    if (qp.count, qp.dim) != (kp.count, kp.dim) or (kp.count, kp.dim) != (vp.count, vp.dim):
+    if qp.tokens.shape != kp.tokens.shape or kp.tokens.shape != vp.tokens.shape:
         raise ShapeError(
             f"q/k/v token sets disagree: {qp.tokens.shape}, {kp.tokens.shape}, {vp.tokens.shape}")
-    scores = tt.scale(tt.matmul(qp.tokens, tt.transpose(kp.tokens, (1, 0))),
-                      1.0 / np.sqrt(qp.dim))
-    alpha = tt.softmax(scores, axis=1)
+    kt = tt.transpose(kp.tokens, _batch_axes(kp.tokens.shape[:-2], (1, 0)))
+    scores = tt.scale(tt.matmul(qp.tokens, kt), 1.0 / np.sqrt(qp.dim))
+    alpha = tt.softmax(scores, axis=-1)
     if record is not None:
-        record.append(AttentionRecord(
-            layer=layer, head=head, scale=qp.scale, alpha=alpha.data.copy(),
-            frame_of=qp.frame_of, cell_of=qp.cell_of,
-            map_h=qp.scale * qp.cell_h, map_w=qp.scale * qp.cell_w))
+        n = qp.count
+        for clip, weights in enumerate(alpha.data.reshape(-1, n, n)):
+            record.append(AttentionRecord(
+                layer=layer, head=head, scale=qp.scale, alpha=weights.copy(),
+                frame_of=qp.frame_of, cell_of=qp.cell_of,
+                map_h=qp.scale * qp.cell_h, map_w=qp.scale * qp.cell_w, clip=clip))
     attended = tt.matmul(alpha, vp.tokens)
     return HeadPatchSet(attended, frames=vp.frames, scale=vp.scale, channels=vp.channels,
                         cell_h=vp.cell_h, cell_w=vp.cell_w)
@@ -151,28 +170,28 @@ def reassemble_and_concat(heads: list) -> Tensor:
     if not heads:
         raise ValueError("no heads to reassemble")
     maps = [unpartition_patches(h) for h in heads]
-    t, _, h, w = maps[0].shape
+    first = maps[0].shape
     for m in maps[1:]:
-        if m.shape[0] != t or m.shape[2:] != (h, w):
-            raise ShapeError(f"head maps disagree: {maps[0].shape} vs {m.shape}")
-    return maps[0] if len(maps) == 1 else tt.concat(maps, axis=1)
+        if m.shape[:-3] != first[:-3] or m.shape[-2:] != first[-2:]:
+            raise ShapeError(f"head maps disagree: {first} vs {m.shape}")
+    return maps[0] if len(maps) == 1 else tt.concat(maps, axis=-3)
 
 
 def multiscale_attention(qkv, cfg: ScaleConfig, records: list | None = None,
                          layer: int = 0) -> Tensor:
     """Full multi-scale attention: split channels across heads, attend, reassemble.
 
-    ``qkv`` holds three [T, C, H, W] maps; the result has the same shape and is
-    added residually by the caller.
+    ``qkv`` holds three [T, C, H, W] (or [B, T, C, H, W]) maps; the result has
+    the same shape and is added residually by the caller.
     """
     q, k, v = qkv
     if q.shape != k.shape or k.shape != v.shape:
         raise ShapeError(f"q/k/v maps disagree: {q.shape}, {k.shape}, {v.shape}")
-    _, c, h, w = q.shape
+    c, h, w = q.shape[-3:]
     cfg.validate(c, h, w)
     n_heads = cfg.head_count
     if n_heads > 1:
-        qs, ks, vs = tt.split(q, n_heads, 1), tt.split(k, n_heads, 1), tt.split(v, n_heads, 1)
+        qs, ks, vs = (tt.split(m, n_heads, -3) for m in (q, k, v))
     else:
         qs, ks, vs = [q], [k], [v]
     out_heads = []

@@ -4,7 +4,8 @@ A clip is tokenized per frame by a single non-overlapping convolution (kernel
 extent equal to its stride), producing a token map without any positional
 encoding. Q, K and V are then produced by shape-preserving 3x3 convolutions,
 and the transformer's feed-forward block is a pair of 1x1 convolutions. No
-operation here owns positional parameters.
+operation here owns positional parameters. Maps may carry leading batch axes
+([B, T, C, H, W] for B clips); the convolutions fold them into one batch.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ class QKVMaps(NamedTuple):
 
 
 def as_frames(clip, dtype) -> Tensor:
-    """The [T, 3, H, W] pixels of a VideoClip, array or Tensor as a Tensor."""
+    """The pixels of a VideoClip ([T, 3, H, W]), array or Tensor as a Tensor."""
     frames = clip.frames if isinstance(clip, VideoClip) else clip
     if isinstance(frames, Tensor):
         return frames
@@ -48,13 +49,14 @@ def as_frames(clip, dtype) -> Tensor:
 
 
 def conv_token_embed(clip, w: Tensor, b: Tensor, stride: int) -> Tensor:
-    """Tokenize each frame with one convolution; [T,3,H,W] -> [T,C,H/stride,W/stride].
+    """Tokenize each frame with one convolution;
+    [..., T, 3, H, W] -> [..., T, C, H/stride, W/stride].
 
     The kernel extent must equal the stride (non-overlapping tokenization) and
     the spatial extents must divide by it.
     """
     x = as_frames(clip, w.dtype)
-    t, cin, h, wid = x.shape
+    h, wid = x.shape[-2:]
     kh, kw = w.shape[2], w.shape[3]
     if kh != stride or kw != stride:
         raise ShapeError(f"token embed kernel {kh}x{kw} must equal stride {stride}")

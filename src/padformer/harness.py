@@ -62,6 +62,8 @@ def train_model(cfg: RunConfig, train_records) -> TrainResult:
         batch = make_batch(train_records, cfg, batch_rng, sample_rng, augment_rng)
         lr = lr_at(step, cfg.lr, cfg.steps, cfg.warmup_frac)
         loss = train_step(batch, params, state, mcfg, lr)
+        if not np.isfinite(loss):
+            raise FloatingPointError(f"non-finite loss at step {step}")
         rows.append((step, loss, lr))
     return TrainResult(params=params, model_config=mcfg, log_rows=rows)
 

@@ -13,6 +13,8 @@ import csv
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class MetricReport:
@@ -61,21 +63,16 @@ def select_threshold(dev_scores) -> float:
     Sweeps the midpoints between adjacent distinct sorted scores (plus one
     candidate below the minimum and one above the maximum) and returns the
     candidate minimizing |FAR - FRR|; ties break toward the lower threshold.
+    Each class is sorted once and counted at every candidate by binary
+    search, so the sweep is O(n log n).
     """
-    attacks, bona = _split_scores(dev_scores)
-    pts = sorted(set(attacks + bona))
-    candidates = [pts[0] - 1.0]
-    candidates += [(a + b) / 2.0 for a, b in zip(pts, pts[1:])]
-    candidates.append(pts[-1] + 1.0)
-
-    best, best_gap = None, None
-    for th in candidates:
-        far = sum(1 for s in attacks if s >= th) / len(attacks)
-        frr = sum(1 for s in bona if s < th) / len(bona)
-        gap = abs(far - frr)
-        if best_gap is None or gap < best_gap:
-            best, best_gap = th, gap
-    return float(best)
+    attacks, bona = (np.sort(np.asarray(s, dtype=np.float64)) for s in _split_scores(dev_scores))
+    pts = np.unique(np.concatenate([attacks, bona]))
+    candidates = np.concatenate([[pts[0] - 1.0], (pts[:-1] + pts[1:]) / 2.0,
+                                 [pts[-1] + 1.0]])
+    far = (attacks.size - np.searchsorted(attacks, candidates, side="left")) / attacks.size
+    frr = np.searchsorted(bona, candidates, side="left") / bona.size
+    return float(candidates[np.argmin(np.abs(far - frr))])
 
 
 def write_report_csv(path, rows):

@@ -6,7 +6,9 @@ multi-scale attention with residual, channel norm, convolutional feed-forward
 with residual), mean-pooled over frames and space, and mapped linearly to two
 logits (attack / bona fide). No class token and no positional encoding; the
 convolutions carry all spatial structure, so logits are invariant to frame
-order.
+order. A batch of B clips [B, T, 3, H, W] runs as one graph: the
+convolutions fold B*T into their batch and each head attends clip by clip in
+one batched matmul; a single clip is the B=1 case.
 """
 
 from __future__ import annotations
@@ -114,12 +116,16 @@ def param_count(params: dict) -> int:
 
 
 def forward(clip, params: dict, cfg: ModelConfig, records: list | None = None) -> Tensor:
-    """Logits [num_classes] for one clip; appends per-head attention weights
-    to ``records`` when a list is supplied."""
+    """Logits [num_classes] for one clip (a VideoClip or [T, 3, H, W]), or
+    [B, num_classes] for a batch [B, T, 3, H, W]; appends per-head, per-clip
+    attention weights to ``records`` when a list is supplied."""
     frames = as_frames(clip, params["embed.weight"].dtype)
     want = (cfg.frames, 3, cfg.height, cfg.width)
-    if frames.shape != want:
+    if frames.ndim not in (4, 5) or frames.shape[-4:] != want:
         raise ShapeError(f"clip shape {frames.shape} does not match config {want}")
+    single = frames.ndim == 4
+    if single:
+        frames = tt.reshape(frames, (1,) + want)
     x = conv_token_embed(frames, params["embed.weight"], params["embed.bias"],
                          cfg.embed_stride)
     scale_cfg = cfg.scale_config
@@ -131,39 +137,45 @@ def forward(clip, params: dict, cfg: ModelConfig, records: list | None = None) -
             params[f"layers.{i}.v.weight"], params[f"layers.{i}.v.bias"])
         h = multiscale_attention(qkv, scale_cfg, records=records, layer=i)
         y = tt.add(h, x)
-        normed = tt.layer_norm(y, 1, params[f"layers.{i}.norm.gamma"],
+        normed = tt.layer_norm(y, 2, params[f"layers.{i}.norm.gamma"],
                                params[f"layers.{i}.norm.beta"])
         f = conv_ffn(normed,
                      params[f"layers.{i}.ffn1.weight"], params[f"layers.{i}.ffn1.bias"],
                      params[f"layers.{i}.ffn2.weight"], params[f"layers.{i}.ffn2.bias"])
         x = tt.add(f, y)
-    pooled = tt.mean(x, (0, 2, 3))
-    row = tt.reshape(pooled, (1, cfg.embed_channels))
-    logits = tt.add(tt.matmul(row, params["head.weight"]),
-                    tt.reshape(params["head.bias"], (1, cfg.num_classes)))
-    return tt.reshape(logits, (cfg.num_classes,))
+    pooled = tt.mean(x, (1, 3, 4))                   # [B, C]
+    logits = tt.add(tt.matmul(pooled, params["head.weight"]), params["head.bias"])
+    return tt.reshape(logits, (cfg.num_classes,)) if single else logits
 
 
-def cross_entropy(logits: Tensor, label: int) -> Tensor:
-    """Negative log-likelihood of the true class under softmax(logits).
+def cross_entropy(logits: Tensor, labels) -> Tensor:
+    """Mean negative log-likelihood of the true classes under softmax(logits).
 
-    Scalar output; gradient is softmax(logits) minus the one-hot target.
+    ``logits`` is [K] with one int label, or [B, K] with B labels. Scalar
+    output; the gradient of each row is softmax(row) minus its one-hot
+    target, divided by B.
     """
     z = logits.data
-    if z.ndim != 1:
-        raise ShapeError(f"cross_entropy expects a logit vector, got {z.shape}")
-    if not 0 <= label < z.shape[0]:
-        raise ValueError(f"label {label} out of range for {z.shape[0]} classes")
-    m = z.max()
-    lse = m + np.log(np.exp(z - m).sum())
-    probs = np.exp(z - lse)
+    if z.ndim not in (1, 2):
+        raise ShapeError(f"cross_entropy expects [K] or [B, K] logits, got {z.shape}")
+    rows = z.reshape(-1, z.shape[-1])
+    y = np.asarray(labels).reshape(-1)
+    if y.shape != (rows.shape[0],):
+        raise ShapeError(f"{y.size} labels for {rows.shape[0]} logit rows")
+    if y.dtype.kind not in "iu" or y.min() < 0 or y.max() >= rows.shape[1]:
+        raise ValueError(f"labels {y.tolist()} must be class indices below {rows.shape[1]}")
+    m = rows.max(axis=1, keepdims=True)
+    lse = m + np.log(np.exp(rows - m).sum(axis=1, keepdims=True))
+    probs = np.exp(rows - lse)
+    picked = np.arange(rows.shape[0])
+    loss = (lse[:, 0] - rows[picked, y]).mean()
 
     def back(g):
-        onehot = np.zeros_like(z)
-        onehot[label] = 1.0
-        return ((probs - onehot) * g,)
+        d = probs.copy()
+        d[picked, y] -= 1.0
+        return ((d * (g / rows.shape[0])).reshape(z.shape),)
 
-    return tt.record(np.asarray(lse - z[label], dtype=z.dtype), (logits,), back)
+    return tt.record(np.asarray(loss, dtype=z.dtype), (logits,), back)
 
 
 def zero_grads(params: dict):
@@ -173,13 +185,13 @@ def zero_grads(params: dict):
 
 def train_step(batch, params: dict, opt_state: AdamState, cfg: ModelConfig,
                lr: float) -> float:
-    """One optimization step on a batch of clips; returns the mean loss."""
+    """One optimization step on a batch of clips, run as one graph over
+    [B, T, 3, H, W]; returns the mean loss."""
     if not batch:
         raise ValueError("train_step: empty batch")
+    frames = np.stack([c.frames for c in batch])
     with tt.Tape():
-        losses = [tt.reshape(cross_entropy(forward(c, params, cfg), c.label), (1,))
-                  for c in batch]
-        total = tt.mean(tt.concat(losses, 0), (0,))
+        total = cross_entropy(forward(frames, params, cfg), [c.label for c in batch])
         tt.backward(total)
     loss_value = float(total.data)
     adam_step(params, opt_state, lr)

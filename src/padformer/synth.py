@@ -27,6 +27,7 @@ from . import vpt
 from .rng import stream
 
 SPLITS = ("train", "dev", "test")
+STORE_HEADER = ("clip_id", "path", "label", "split")
 
 # class-agnostic content levels, identical for both classes by construction
 _BASE_GRAY = 0.45
@@ -157,7 +158,7 @@ def write_store(path, records):
     (root / "clips").mkdir(parents=True, exist_ok=True)
     with open(root / "manifest.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["clip_id", "path", "label", "split"])
+        writer.writerow(STORE_HEADER)
         for r in records:
             rel = f"clips/{r.clip_id}.vpt"
             vpt.write_tensor(root / rel, r.frames)
@@ -171,12 +172,24 @@ def load_store(path) -> list:
         raise FileNotFoundError(f"no dataset manifest at {manifest}")
     records = []
     with open(manifest, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != list(STORE_HEADER):
+            raise ValueError(f"{manifest} line 1: expected header "
+                             f"{','.join(STORE_HEADER)}, got {header}")
         for row in reader:
-            records.append(ClipRecord(
-                clip_id=row["clip_id"],
-                frames=vpt.read_member(root, row["path"],
-                                       f"{manifest} line {reader.line_num}"),
-                label=int(row["label"]),
-                split=row["split"]))
+            if not row:
+                continue
+            where = f"{manifest} line {reader.line_num}"
+            if len(row) != len(STORE_HEADER):
+                raise ValueError(f"{where}: expected {len(STORE_HEADER)} fields, got {row}")
+            clip_id, rel, label, split = row
+            if label not in ("0", "1"):
+                raise ValueError(f"{where}: label must be 0 or 1, got {label!r}")
+            if split not in SPLITS:
+                raise ValueError(f"{where}: split must be one of {', '.join(SPLITS)}, "
+                                 f"got {split!r}")
+            records.append(ClipRecord(clip_id=clip_id,
+                                      frames=vpt.read_member(root, rel, where),
+                                      label=int(label), split=split))
     return records

@@ -9,6 +9,8 @@ primitives defined here.
 
 from __future__ import annotations
 
+import ctypes
+import sys
 import threading
 
 import numpy as np
@@ -23,6 +25,34 @@ __all__ = [
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
+
+# glibc malloc settings (mallopt parameter id, value). A training step frees
+# its whole graph at once when its tape exits, and by default glibc then trims
+# the heap, so the next step faults the memory back in: about 2,200 minor page
+# faults per default-config training step, 12,000 per step at T=16 with
+# scales 1,2,4, and 6,000 for the next ``load_store`` (2-vCPU Linux host).
+# A 256 MB trim threshold keeps freed memory in the process (0-3 faults per
+# step). Setting it switches off glibc's dynamic mmap threshold, so the mmap
+# threshold is pinned at 32 MB too; left at 128 KB, every larger array would
+# be a fresh mapping.
+_MALLOPT_SETTINGS = ((-1, 256 << 20),     # M_TRIM_THRESHOLD
+                     (-3, 32 << 20))      # M_MMAP_THRESHOLD
+
+
+def _keep_freed_memory():
+    if not sys.platform.startswith("linux"):
+        return
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):     # a libc without mallopt: leave malloc alone
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    for param_id, value in _MALLOPT_SETTINGS:
+        mallopt(param_id, value)
+
+
+_keep_freed_memory()
 
 
 class ShapeError(ValueError):
@@ -54,6 +84,10 @@ class Tensor:
     @property
     def shape(self):
         return self.data.shape
+
+    @property
+    def ndim(self):
+        return self.data.ndim
 
     @property
     def dtype(self):
@@ -109,6 +143,12 @@ class Tape:
 
     def __exit__(self, *exc):
         _state().stack.pop()
+        # Tensor.node -> _Node.out -> Tensor is a reference cycle; cutting it
+        # lets reference counting free the graph here instead of waiting for
+        # the cyclic collector, which runs rarely on a batched step.
+        for node in self.nodes:
+            node.out.node = None
+        self.nodes = []
         return False
 
 
@@ -194,8 +234,15 @@ def _check_same_shape(a: Tensor, b: Tensor, op: str):
 # elementwise ops
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape(a, b, "add")
-    return record(a.data + b.data, (a, b), lambda g: (g, g))
+    """Elementwise sum; ``b`` may also match only the trailing axes of ``a``
+    (a bias broadcast over the leading ones)."""
+    lead = a.data.ndim - b.data.ndim
+    if lead < 0 or a.data.shape[lead:] != b.data.shape:
+        raise ShapeError(f"add: shape {b.data.shape} does not match or broadcast "
+                         f"to {a.data.shape}")
+    if lead == 0:
+        return record(a.data + b.data, (a, b), lambda g: (g, g))
+    return record(a.data + b.data, (a, b), lambda g: (g, g.sum(axis=tuple(range(lead)))))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -262,13 +309,18 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     """2-d cross-correlation with zero padding and bias.
 
-    x: [N, Cin, H, W], w: [Cout, Cin, kh, kw], b: [Cout].
-    Output spatial extent: floor((H + 2*pad - kh) / stride) + 1.
+    x: [..., Cin, H, W] (all leading axes form one batch), w: [Cout, Cin, kh, kw],
+    b: [Cout]. Output: [..., Cout, Ho, Wo] with
+    Ho = floor((H + 2*pad - kh) / stride) + 1, likewise Wo.
     """
     xd, wd = x.data, w.data
-    if xd.ndim != 4 or wd.ndim != 4:
-        raise ShapeError(f"conv2d: expected 4-d input and kernel, got {xd.shape} and {wd.shape}")
-    n, cin, h, wid = xd.shape
+    if xd.ndim < 4 or wd.ndim != 4:
+        raise ShapeError(f"conv2d: expected [..., Cin, H, W] input and 4-d kernel, "
+                         f"got {xd.shape} and {wd.shape}")
+    xshape = xd.shape
+    lead, (cin, h, wid) = xshape[:-3], xshape[-3:]
+    xd = xd.reshape(-1, cin, h, wid)
+    n = xd.shape[0]
     cout, cin_w, kh, kw = wd.shape
     if cin != cin_w:
         raise ShapeError(f"conv2d: input channels {cin} != kernel channels {cin_w}")
@@ -290,9 +342,10 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0) -> Te
     cols = cols.reshape(n * ho * wo, cin * kh * kw)
     wmat = wd.reshape(cout, -1)
     out = cols @ wmat.T + b.data
-    out = out.reshape(n, ho, wo, cout).transpose(0, 3, 1, 2)
+    out = out.reshape(n, ho, wo, cout).transpose(0, 3, 1, 2).reshape(lead + (cout, ho, wo))
 
     def back(g):
+        g = g.reshape(n, cout, ho, wo)
         gmat = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(-1, cout)
         gw = (gmat.T @ cols).reshape(wd.shape)
         gb = gmat.sum(axis=0)
@@ -302,7 +355,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0) -> Te
             for j in range(kw):
                 gxp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += gcols[:, :, :, :, i, j]
         gx = gxp[:, :, pad:pad + h, pad:pad + wid] if pad else gxp
-        return gx, gw, gb
+        return gx.reshape(xshape), gw, gb
 
     return record(out, (x, w, b), back)
 

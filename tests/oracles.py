@@ -45,6 +45,29 @@ def metrics_recount(scores, threshold):
     return apcer, bpcer, (apcer + bpcer) / 2.0
 
 
+def select_threshold_sweep(dev_scores):
+    """Quadratic EER sweep: every candidate threshold recounts both classes.
+
+    Candidates are one below the minimum, the midpoints between adjacent
+    distinct scores and one above the maximum; the first candidate with the
+    smallest |FAR - FRR| wins, so ties go to the lower threshold.
+    """
+    attacks = [float(s) for s, label in dev_scores if label == 0]
+    bona = [float(s) for s, label in dev_scores if label == 1]
+    pts = sorted(set(attacks + bona))
+    candidates = [pts[0] - 1.0]
+    candidates += [(a + b) / 2.0 for a, b in zip(pts, pts[1:])]
+    candidates.append(pts[-1] + 1.0)
+    best, best_gap = None, None
+    for th in candidates:
+        far = sum(1 for s in attacks if s >= th) / len(attacks)
+        frr = sum(1 for s in bona if s < th) / len(bona)
+        gap = abs(far - frr)
+        if best_gap is None or gap < best_gap:
+            best, best_gap = th, gap
+    return float(best)
+
+
 def multiscale_attention_naive(q, k, v, scales):
     """Brute-force multi-scale attention over stacked frame patches.
 

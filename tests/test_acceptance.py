@@ -2,8 +2,9 @@
 
 Each test prints a single ``[criterion N] PASS/FAIL`` line with the measured
 values next to the required tolerance or budget. The lines bypass pytest's
-capture so they are visible in any run; the slow end-to-end criteria (5-7)
-train real models and take a few minutes combined.
+capture so they are visible in any run; the end-to-end criteria 5-7 train
+real models for several minutes combined and carry the ``slow`` marker, so
+``pytest -m "not slow"`` skips them.
 """
 
 import time
@@ -64,9 +65,12 @@ def test_criterion_1_gradient_suite(capsys):
     def r(*shape):
         return rng.normal(size=shape)
 
-    p3, p6, p8, p12, p15, p16, p96 = (r(n) for n in (3, 6, 8, 12, 15, 16, 96))
+    p3, p6, p8, p12, p15, p16, p96, p192 = (
+        r(n) for n in (3, 6, 8, 12, 15, 16, 96, 192))
     cases = [
         ("add", lambda a, b: _scalarize(T.add(a, b), p6), [r(2, 3), r(2, 3)]),
+        ("add bias broadcast", lambda a, b: _scalarize(T.add(a, b), p12),
+         [r(2, 2, 3), r(3)]),
         ("mul", lambda a, b: _scalarize(T.mul(a, b), p6), [r(2, 3), r(2, 3)]),
         ("scale", lambda a: _scalarize(T.scale(a, -1.7), p6), [r(2, 3)]),
         ("gelu", lambda a: _scalarize(T.gelu(a), p6), [r(2, 3)]),
@@ -80,6 +84,9 @@ def test_criterion_1_gradient_suite(capsys):
         ("conv2d patchify", lambda x, w, b: _scalarize(
             T.conv2d(x, w, b, stride=2, pad=0), p16),
          [r(2, 3, 4, 4), r(2, 3, 2, 2), r(2)]),
+        ("conv2d [B, T] batch", lambda x, w, b: _scalarize(
+            T.conv2d(x, w, b, stride=1, pad=1), p192),
+         [r(2, 2, 2, 4, 4), r(3, 2, 3, 3), r(3)]),
         ("softmax", lambda a: _scalarize(T.softmax(a, axis=1), p15),
          [r(3, 5)]),
         ("layer_norm", lambda x, g, b: _scalarize(
@@ -93,6 +100,7 @@ def test_criterion_1_gradient_suite(capsys):
         ("mean", lambda a: _scalarize(T.mean(a, axes=(0, 2)), p3),
          [r(2, 3, 4)]),
         ("cross_entropy", lambda z: cross_entropy(z, 1), [r(2)]),
+        ("cross_entropy batch", lambda z: cross_entropy(z, [1, 0, 1]), [r(3, 2)]),
     ]
     for name, build, arrays in cases:
         try:
@@ -100,14 +108,15 @@ def test_criterion_1_gradient_suite(capsys):
         except AssertionError as exc:
             report(capsys, 1, False, f"primitive {name}: {exc}")
 
+    # end to end on a batch of two clips, one per class
     params = init_params(CHECK_CONFIG, dtype=np.float64)
-    clip = VideoClip(frames=rng.random((2, 3, 16, 16)), label=1)
+    batch = rng.random((2, 2, 3, 16, 16))
     with T.Tape():
-        T.backward(cross_entropy(forward(clip, params, CHECK_CONFIG), 1))
+        T.backward(cross_entropy(forward(batch, params, CHECK_CONFIG), [1, 0]))
     analytic = {name: p.grad.copy() for name, p in params.items()}
 
     def model_loss():
-        return float(cross_entropy(forward(clip, params, CHECK_CONFIG), 1).data)
+        return float(cross_entropy(forward(batch, params, CHECK_CONFIG), [1, 0]).data)
 
     for name, p in params.items():
         try:
@@ -118,8 +127,9 @@ def test_criterion_1_gradient_suite(capsys):
 
     dt = time.monotonic() - start
     report(capsys, 1, dt < 120.0,
-           f"{len(cases)} primitives (rtol 1e-4) and the end-to-end model "
-           f"(rtol 1e-3) match central differences in {dt:.1f}s (budget 120s)")
+           f"{len(cases)} primitives (rtol 1e-4) and the end-to-end model on a "
+           f"batch of 2 (rtol 1e-3) match central differences in {dt:.1f}s "
+           f"(budget 120s)")
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +203,7 @@ def test_criterion_4_metric_arithmetic(capsys):
 # ---------------------------------------------------------------------------
 # criterion 5: default config trains to low error inside the time budget
 
+@pytest.mark.slow
 def test_criterion_5_synthetic_end_to_end(capsys):
     cfg = RunConfig()
     start = time.monotonic()
@@ -217,6 +228,7 @@ CLIP_LENGTH_CONFIG = RunConfig(
     steps=600, batch_size=8, lr=1e-3, seed=100)
 
 
+@pytest.mark.slow
 def test_criterion_6_clip_length_trend(capsys):
     rows = ablation_clip_length(CLIP_LENGTH_CONFIG, grid=(1, 2, 4, 8),
                                 n_seeds=3)
@@ -238,6 +250,7 @@ SCALES_CONFIG = RunConfig(
     steps=350, batch_size=8, lr=1e-3, seed=400)
 
 
+@pytest.mark.slow
 def test_criterion_7_scale_ablation_trend(capsys):
     rows = ablation_scales(SCALES_CONFIG, n_seeds=3)
     means = {label: mean for label, mean, _ in rows}

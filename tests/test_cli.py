@@ -202,6 +202,17 @@ def test_missing_data_dir_names_the_key(capsys):
     expect_error(["gen-data"], "config key 'data_dir' is required", capsys)
 
 
+def test_non_finite_loss_stops_training_without_artifacts(pipeline, tmp_path, capsys):
+    cfg = tmp_path / "explode.cfg"
+    cfg.write_text(MICRO.replace("lr=0.001", "lr=1e30"), encoding="utf-8")
+    out = tmp_path / "run"
+    with np.errstate(over="ignore", invalid="ignore"):
+        expect_error(["train", "--config", str(cfg), "--data", str(pipeline["data"]),
+                      "--out", str(out)], "non-finite loss at step 1", capsys)
+    assert not (out / "train_log.csv").exists()
+    assert not (out / "checkpoint").exists()
+
+
 def test_bad_config_reports_line_number(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("steps=5\nlr=fast\n", encoding="utf-8")

@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padformer.metrics import (MetricReport, compute_metrics, select_threshold,
                                write_report_csv)
 
-from oracles import metrics_recount
+from oracles import metrics_recount, select_threshold_sweep
 
 
 def scored(attacks, bona):
@@ -122,3 +124,18 @@ def test_report_csv_layout(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "run_id,threshold,apcer,bpcer,acer,hter"
     assert lines[1].startswith("run-a,0.500000,0.0000,0.0000,")
+
+
+# scores from a coarse grid collide often, so ties within and across classes
+# are common; adjacent floats check that midpoints rounding onto a score agree
+_TIED_SCORE = st.one_of(st.integers(0, 8).map(lambda i: i / 8),
+                        st.sampled_from([0.5, float(np.nextafter(0.5, 1.0))]),
+                        st.floats(-2.0, 2.0, allow_nan=False))
+
+
+@settings(max_examples=300, deadline=None)
+@given(attacks=st.lists(_TIED_SCORE, min_size=1, max_size=30),
+       bona=st.lists(_TIED_SCORE, min_size=1, max_size=30))
+def test_select_threshold_equals_the_quadratic_sweep(attacks, bona):
+    dev = scored(attacks, bona)
+    assert select_threshold(dev) == select_threshold_sweep(dev)

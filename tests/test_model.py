@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padformer import tensor as T
 from padformer.config import RunConfig
@@ -61,6 +63,79 @@ def test_frame_permutation_leaves_logits_unchanged():
     perm = np.random.default_rng(3).permutation(cfg.frames)
     shuffled = VideoClip(frames=clip.frames[perm], label=clip.label)
     assert np.allclose(forward(shuffled, params, cfg).data, base, atol=1e-6)
+
+
+# ------------------------------------------------------------------- batch
+
+def _batch_case(seed, b, t, scales):
+    c = 6 * len(scales) if len(scales) == 3 else 6
+    cfg = ModelConfig(frames=t, height=16, width=16, embed_stride=4,
+                      embed_channels=c, scales=scales, depth=2, seed=seed)
+    params = init_params(cfg, dtype=np.float64)
+    rng = np.random.default_rng(seed)
+    clips = [rand_clip(cfg, seed=seed + i, label=int(rng.integers(0, 2)), dtype=np.float64)
+             for i in range(b)]
+    return cfg, params, clips
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 1000), b=st.integers(1, 4), t=st.sampled_from([1, 2, 4]),
+       scales=st.sampled_from([(1,), (2,), (4,), (1, 2), (2, 4), (1, 2, 4)]))
+def test_batched_pass_equals_single_clip_passes(seed, b, t, scales):
+    cfg, params, clips = _batch_case(seed, b, t, scales)
+    frames = np.stack([c.frames for c in clips])
+    labels = [c.label for c in clips]
+    with T.Tape():
+        logits = forward(frames, params, cfg)
+        T.backward(cross_entropy(logits, labels))
+    batched = {name: p.grad.copy() for name, p in params.items()}
+    zero_grads(params)
+
+    single = []
+    for clip in clips:
+        with T.Tape():
+            z = forward(clip, params, cfg)
+            T.backward(cross_entropy(z, clip.label))
+        single.append(z.data)
+    assert logits.shape == (b, 2)
+    assert np.abs(logits.data - np.stack(single)).max() <= 1e-9
+    for name, p in params.items():
+        assert np.abs(batched[name] - p.grad / b).max() <= 1e-9, name
+
+
+def test_frame_permutation_per_clip_inside_a_batch():
+    cfg = ModelConfig(frames=4, height=16, width=16, embed_stride=8,
+                      embed_channels=6, scales=(1, 2), depth=2, seed=5)
+    params = init_params(cfg, dtype=np.float64)
+    frames = np.stack([rand_clip(cfg, seed=s, dtype=np.float64).frames for s in (30, 31, 32)])
+    rng = np.random.default_rng(33)
+    shuffled = np.stack([clip[rng.permutation(cfg.frames)] for clip in frames])
+    base = forward(frames, params, cfg).data
+    assert np.abs(forward(shuffled, params, cfg).data - base).max() <= 1e-12
+    # each clip attends only within itself: reordering clips reorders rows
+    order = [2, 0, 1]
+    assert np.abs(forward(frames[order], params, cfg).data - base[order]).max() <= 1e-12
+
+
+def test_batched_records_one_attention_matrix_per_clip():
+    params = init_params(TINY, dtype=np.float64)
+    clips = [rand_clip(TINY, seed=s, dtype=np.float64) for s in (40, 41)]
+    recs = []
+    forward(np.stack([c.frames for c in clips]), params, TINY, records=recs)
+    assert [(r.layer, r.head, r.clip) for r in recs] == [(0, 0, 0), (0, 0, 1),
+                                                         (0, 1, 0), (0, 1, 1)]
+    one = []
+    forward(clips[1], params, TINY, records=one)
+    assert [r.clip for r in one] == [0, 0]
+    assert np.abs(recs[3].alpha - one[1].alpha).max() <= 1e-12
+
+
+def test_batch_shape_must_match_config():
+    params = init_params(TINY)
+    with pytest.raises(ShapeError):
+        forward(np.zeros((3, 4, 3, 16, 16), dtype=np.float32), params, TINY)
+    with pytest.raises(ShapeError):
+        cross_entropy(T.tensor(np.zeros((3, 2))), [0, 1])
 
 
 def test_config_validation():

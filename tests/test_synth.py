@@ -155,6 +155,24 @@ def test_store_path_outside_its_root_rejected(tmp_path):
         load_store(tmp_path / "data")
 
 
+@pytest.mark.parametrize("line,edit,message", [
+    (0, lambda f: ["clip_id", "file", "label", "split"],
+     r"line 1: expected header clip_id,path,label,split"),
+    (1, lambda f: f[:2] + ["zero", f[3]], r"line 2: label must be 0 or 1, got 'zero'"),
+    (2, lambda f: f[:2] + ["2", f[3]], r"line 3: label must be 0 or 1, got '2'"),
+    (2, lambda f: f[:3] + ["validation"],
+     r"line 3: split must be one of train, dev, test, got 'validation'"),
+], ids=["header", "label-word", "label-2", "split"])
+def test_store_manifest_fields_are_checked(tmp_path, line, edit, message):
+    write_store(tmp_path / "data", generate_dataset(SMALL)[:2])
+    manifest = tmp_path / "data" / "manifest.csv"
+    lines = manifest.read_text(encoding="utf-8").splitlines()
+    lines[line] = ",".join(edit(lines[line].split(",")))
+    manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"manifest\.csv " + message):
+        load_store(tmp_path / "data")
+
+
 def test_split_records_raises_on_empty():
     records = [ClipRecord("x", np.zeros((1, 3, 4, 4), np.float32), 0, "train")]
     assert split_records(records, "train") == records

@@ -1,5 +1,8 @@
 """Forward semantics of the tensor engine: frozen examples, errors, round-trips."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -195,6 +198,19 @@ class TestBackwardBasics:
         assert np.allclose(x.grad, [12.0])
         x.zero_grad()
         assert x.grad is None
+
+    def test_tape_exit_frees_saved_arrays_without_the_cycle_collector(self):
+        gc.disable()
+        try:
+            x = T.param([0.5, -1.0, 2.0], dtype=np.float64)
+            with T.Tape():
+                h = T.scale(x, 3.0)
+                T.backward(T.mean(T.gelu(h), axes=(0,)))   # gelu saves h.data
+                saved = weakref.ref(h.data)
+                del h
+            assert saved() is None
+        finally:
+            gc.enable()
 
 
 class TestAdam:
