@@ -65,15 +65,6 @@ class HeadPatchSet:
     cell_h: int
     cell_w: int
 
-    def __post_init__(self):
-        n = self.frames * self.scale ** 2
-        if self.tokens.ndim not in (2, 3) or \
-                self.tokens.shape[-2:] != (n, self.channels * self.cell_h * self.cell_w):
-            raise ShapeError(
-                f"token matrix {self.tokens.shape} inconsistent with "
-                f"T={self.frames}, l={self.scale}, C={self.channels}, "
-                f"cell={self.cell_h}x{self.cell_w}")
-
     @property
     def frame_of(self) -> np.ndarray:
         return np.arange(self.count) // self.scale ** 2
@@ -116,11 +107,7 @@ def _batch_axes(lead: tuple, axes: tuple) -> tuple:
 def partition_patches(f: Tensor, scale: int) -> HeadPatchSet:
     """Split each frame of [T, C, H, W] (or [B, T, C, H, W]) into an l x l grid
     of flattened tokens: [T * l * l, C * H/l * W/l] (or [B, ...])."""
-    if f.ndim not in (4, 5):
-        raise ShapeError(f"expected [T, C, H, W] or [B, T, C, H, W] maps, got {f.shape}")
     lead, (t, c, h, w) = f.shape[:-4], f.shape[-4:]
-    if h % scale or w % scale:
-        raise ShapeError(f"scale {scale} does not divide map extent {h}x{w}")
     ph, pw = h // scale, w // scale
     g = tt.reshape(f, lead + (t, c, scale, ph, scale, pw))
     g = tt.transpose(g, _batch_axes(lead, (0, 2, 4, 1, 3, 5)))   # [.., T, l, l, C, ph, pw]
@@ -147,9 +134,6 @@ def head_attention(qp: HeadPatchSet, kp: HeadPatchSet, vp: HeadPatchSet,
     batched matmul. When ``record`` is given, one weight matrix per clip is
     appended to it.
     """
-    if qp.tokens.shape != kp.tokens.shape or kp.tokens.shape != vp.tokens.shape:
-        raise ShapeError(
-            f"q/k/v token sets disagree: {qp.tokens.shape}, {kp.tokens.shape}, {vp.tokens.shape}")
     kt = tt.transpose(kp.tokens, _batch_axes(kp.tokens.shape[:-2], (1, 0)))
     scores = tt.scale(tt.matmul(qp.tokens, kt), 1.0 / np.sqrt(qp.dim))
     alpha = tt.softmax(scores, axis=-1)
@@ -167,13 +151,7 @@ def head_attention(qp: HeadPatchSet, kp: HeadPatchSet, vp: HeadPatchSet,
 
 def reassemble_and_concat(heads: list) -> Tensor:
     """Restore each head to full map resolution and concatenate on channels."""
-    if not heads:
-        raise ValueError("no heads to reassemble")
     maps = [unpartition_patches(h) for h in heads]
-    first = maps[0].shape
-    for m in maps[1:]:
-        if m.shape[:-3] != first[:-3] or m.shape[-2:] != first[-2:]:
-            raise ShapeError(f"head maps disagree: {first} vs {m.shape}")
     return maps[0] if len(maps) == 1 else tt.concat(maps, axis=-3)
 
 
@@ -187,8 +165,6 @@ def multiscale_attention(qkv, cfg: ScaleConfig, records: list | None = None,
     q, k, v = qkv
     if q.shape != k.shape or k.shape != v.shape:
         raise ShapeError(f"q/k/v maps disagree: {q.shape}, {k.shape}, {v.shape}")
-    c, h, w = q.shape[-3:]
-    cfg.validate(c, h, w)
     n_heads = cfg.head_count
     if n_heads > 1:
         qs, ks, vs = (tt.split(m, n_heads, -3) for m in (q, k, v))

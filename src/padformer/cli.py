@@ -172,23 +172,27 @@ def cmd_selftest(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # --config may come before or after the verb; a suppressed default keeps
+    # the verb's parser from overwriting a value given before it
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", default=argparse.SUPPRESS,
+                        help="run config file (key=value lines)")
     parser = argparse.ArgumentParser(
-        prog="padformer",
+        prog="padformer", parents=[config],
         description="Video anti-spoofing transformer: training, evaluation, "
                     "ablations, and analysis utilities.")
-    parser.add_argument("--config", help="run config file (key=value lines)")
     parser.add_argument("--dump-config", action="store_true",
                         help="print the effective config and exit")
     sub = parser.add_subparsers(dest="command")
 
-    p = sub.add_parser("gen-data", help="generate the synthetic clip store")
-    p.add_argument("--config")
+    p = sub.add_parser("gen-data", parents=[config],
+                       help="generate the synthetic clip store")
     p.add_argument("--out", help="store directory (default: config data_dir)")
     p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_gen_data)
 
-    p = sub.add_parser("train", help="train a model and write a checkpoint")
-    p.add_argument("--config")
+    p = sub.add_parser("train", parents=[config],
+                       help="train a model and write a checkpoint")
     p.add_argument("--data", help="clip store (default: config data_dir)")
     p.add_argument("--out", help="run directory (default: config out_dir)")
     p.add_argument("--seed", type=int)
@@ -212,14 +216,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_export_attention)
 
-    p = sub.add_parser("count-cost", help="analytic per-clip FLOP/param counts")
-    p.add_argument("--config")
+    p = sub.add_parser("count-cost", parents=[config],
+                       help="analytic per-clip FLOP/param counts")
     p.add_argument("--out", help="also write the counts as CSV")
     p.set_defaults(func=cmd_count_cost)
 
-    p = sub.add_parser("ablate", help="grid experiments (scales or clip-length)")
+    p = sub.add_parser("ablate", parents=[config],
+                       help="grid experiments (scales or clip-length)")
     p.add_argument("--axis", required=True)
-    p.add_argument("--config")
     p.add_argument("--grid", default="1,2,4,8",
                    help="clip lengths for --axis clip-length")
     p.add_argument("--seeds", type=int, default=3)
@@ -237,7 +241,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.dump_config:
-            cfg = load_config(args.config) if args.config else RunConfig()
+            path = getattr(args, "config", None)
+            cfg = load_config(path) if path else RunConfig()
             sys.stdout.write(dump_config(cfg))
             return 0
         if not getattr(args, "func", None):

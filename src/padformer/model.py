@@ -22,7 +22,7 @@ from scipy.stats import truncnorm
 from . import tensor as tt
 from . import vpt
 from .attention import ScaleConfig, multiscale_attention
-from .embed import VideoClip, as_frames, conv_ffn, conv_project, conv_token_embed
+from .embed import VideoClip, conv_ffn, conv_project, conv_token_embed
 from .rng import stream
 from .tensor import AdamState, ShapeError, Tensor, adam_step
 
@@ -119,15 +119,14 @@ def forward(clip, params: dict, cfg: ModelConfig, records: list | None = None) -
     """Logits [num_classes] for one clip (a VideoClip or [T, 3, H, W]), or
     [B, num_classes] for a batch [B, T, 3, H, W]; appends per-head, per-clip
     attention weights to ``records`` when a list is supplied."""
-    frames = as_frames(clip, params["embed.weight"].dtype)
+    frames = np.asarray(clip.frames if isinstance(clip, VideoClip) else clip,
+                        dtype=params["embed.weight"].dtype)
     want = (cfg.frames, 3, cfg.height, cfg.width)
     if frames.ndim not in (4, 5) or frames.shape[-4:] != want:
         raise ShapeError(f"clip shape {frames.shape} does not match config {want}")
     single = frames.ndim == 4
-    if single:
-        frames = tt.reshape(frames, (1,) + want)
-    x = conv_token_embed(frames, params["embed.weight"], params["embed.bias"],
-                         cfg.embed_stride)
+    x = conv_token_embed(Tensor(frames.reshape((-1,) + want)), params["embed.weight"],
+                         params["embed.bias"], cfg.embed_stride)
     scale_cfg = cfg.scale_config
     for i in range(cfg.depth):
         qkv = conv_project(
@@ -279,6 +278,8 @@ def load_checkpoint(path, cfg: ModelConfig | None = None) -> dict:
         if len(fields) != 2:
             raise ValueError(f"{where}: expected name<TAB>path, got {line!r}")
         name, rel = fields
+        if name in params:
+            raise ValueError(f"{where}: duplicate tensor name {name!r}")
         params[name] = tt.param(vpt.read_member(root, rel, where))
     if cfg is not None:
         want = parameter_shapes(cfg)

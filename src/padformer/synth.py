@@ -170,7 +170,7 @@ def load_store(path) -> list:
     manifest = root / "manifest.csv"
     if not manifest.is_file():
         raise FileNotFoundError(f"no dataset manifest at {manifest}")
-    records = []
+    records, seen = [], set()
     with open(manifest, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -184,6 +184,9 @@ def load_store(path) -> list:
             if len(row) != len(STORE_HEADER):
                 raise ValueError(f"{where}: expected {len(STORE_HEADER)} fields, got {row}")
             clip_id, rel, label, split = row
+            if clip_id in seen:
+                raise ValueError(f"{where}: duplicate clip_id {clip_id!r}")
+            seen.add(clip_id)
             if label not in ("0", "1"):
                 raise ValueError(f"{where}: label must be 0 or 1, got {label!r}")
             if split not in SPLITS:

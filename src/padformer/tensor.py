@@ -268,37 +268,20 @@ def gelu(x: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 # contraction
 
-def _unbroadcast_batch(grad: np.ndarray, batch_shape: tuple) -> np.ndarray:
-    # sum out leading batch axes that were broadcast from extent 1
-    extra = grad.ndim - 2 - len(batch_shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, n in enumerate(batch_shape) if n == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad.reshape(batch_shape + grad.shape[-2:])
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Batched matrix product; leading extents must match or broadcast from 1."""
+    """Batched matrix product; the leading (batch) extents must be equal."""
     ad, bd = a.data, b.data
     if ad.ndim < 2 or bd.ndim < 2:
         raise ShapeError(f"matmul: operands must have rank >= 2, got {ad.shape} and {bd.shape}")
     if ad.shape[-1] != bd.shape[-2]:
         raise ShapeError(f"matmul: inner extents differ for shapes {ad.shape} and {bd.shape}")
-    for da, db in zip(ad.shape[-3::-1], bd.shape[-3::-1]):
-        if da != db and da != 1 and db != 1:
-            raise ShapeError(f"matmul: batch extents differ for shapes {ad.shape} and {bd.shape}")
+    if ad.shape[:-2] != bd.shape[:-2]:
+        raise ShapeError(f"matmul: batch extents differ for shapes {ad.shape} and {bd.shape}")
     out = np.matmul(ad, bd)
 
     def back(g):
-        ga = np.matmul(g, np.swapaxes(bd, -1, -2))
-        gb = np.matmul(np.swapaxes(ad, -1, -2), g)
-        if ga.shape != ad.shape:
-            ga = _unbroadcast_batch(ga, ad.shape[:-2])
-        if gb.shape != bd.shape:
-            gb = _unbroadcast_batch(gb, bd.shape[:-2])
-        return ga, gb
+        return (np.matmul(g, np.swapaxes(bd, -1, -2)),
+                np.matmul(np.swapaxes(ad, -1, -2), g))
 
     return record(out, (a, b), back)
 
@@ -343,12 +326,16 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0) -> Te
     wmat = wd.reshape(cout, -1)
     out = cols @ wmat.T + b.data
     out = out.reshape(n, ho, wo, cout).transpose(0, 3, 1, 2).reshape(lead + (cout, ho, wo))
+    # a constant input (the frames) gets no gradient, so its col2im is skipped
+    need_gx = x.requires_grad or x.node is not None
 
     def back(g):
         g = g.reshape(n, cout, ho, wo)
         gmat = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(-1, cout)
         gw = (gmat.T @ cols).reshape(wd.shape)
         gb = gmat.sum(axis=0)
+        if not need_gx:
+            return None, gw, gb
         gcols = (gmat @ wmat).reshape(n, ho, wo, cin, kh, kw).transpose(0, 3, 1, 2, 4, 5)
         gxp = np.zeros((n, cin, hp, wp), dtype=g.dtype)
         for i in range(kh):

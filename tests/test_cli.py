@@ -9,7 +9,7 @@ import pytest
 
 from padformer import vpt
 from padformer.cli import main, write_pgm
-from padformer.config import RunConfig, dump_config, parse_config
+from padformer.config import RunConfig, dump_config, load_config, parse_config
 from padformer.synth import load_store, write_store
 
 MICRO = """
@@ -184,6 +184,23 @@ def test_dump_config_echoes_file(pipeline, capsys):
     text = capsys.readouterr().out
     assert parse_config(text).frames == 2
     assert parse_config(text).scales == (1, 2)
+
+
+def test_dump_config_before_a_verb_echoes_file(pipeline, capsys):
+    assert main(["--config", str(pipeline["cfg"]), "--dump-config", "train"]) == 0
+    assert capsys.readouterr().out == dump_config(load_config(pipeline["cfg"]))
+
+
+@pytest.mark.parametrize("before", [True, False], ids=["before-verb", "after-verb"])
+def test_config_applies_before_or_after_the_verb(pipeline, tmp_path, capsys, before):
+    config = ["--config", str(pipeline["cfg"])]
+    verb = ["count-cost"]
+    assert main(config + verb if before else verb + config) == 0
+    assert "# 2 frames of 16x16" in capsys.readouterr().out
+    verb = ["train", "--out", str(tmp_path / "run")]
+    assert main(config + verb if before else verb + config) == 0
+    assert (tmp_path / "run" / "train_log.csv").read_bytes() == \
+        (pipeline["run"] / "train_log.csv").read_bytes()
 
 
 # ---------------------------------------------------------------------------

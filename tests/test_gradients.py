@@ -52,14 +52,6 @@ def test_matmul_grad_sum_oracle_3x4_by_4x2():
     check(lambda x, y: scalarize(T.matmul(x, y), ones), [a, b])
 
 
-def test_matmul_grad_batched_broadcast():
-    rng = np.random.default_rng(7)
-    a = rand(rng, 3, 2, 4)
-    b = rand(rng, 1, 4, 2)
-    proj = rand(rng, 3 * 2 * 2)
-    check(lambda x, y: scalarize(T.matmul(x, y), proj), [a, b])
-
-
 @pytest.mark.parametrize("seed,stride,pad", [(0, 1, 0), (1, 1, 1), (2, 2, 0), (3, 2, 1), (4, 3, 1)])
 def test_conv2d_grad(seed, stride, pad):
     rng = np.random.default_rng(seed)

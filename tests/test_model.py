@@ -393,6 +393,18 @@ def test_checkpoint_manifest_line_without_tab_names_the_line(tmp_path):
         load_checkpoint(tmp_path / "ckpt")
 
 
+def test_checkpoint_duplicate_tensor_name_names_the_line(tmp_path):
+    save_checkpoint(tmp_path / "ckpt", init_params(TINY))
+    manifest = tmp_path / "ckpt" / "manifest.tsv"
+    lines = manifest.read_text(encoding="utf-8").splitlines()
+    gamma = next(line for line in lines if line.startswith("layers.0.norm.gamma\t"))
+    lines.append("layers.0.norm.beta\t" + gamma.split("\t")[1])
+    manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=rf"manifest\.tsv line {len(lines)}: "
+                                         r"duplicate tensor name 'layers\.0\.norm\.beta'"):
+        load_checkpoint(tmp_path / "ckpt", TINY)
+
+
 def test_checkpoint_path_outside_its_root_rejected(tmp_path):
     save_checkpoint(tmp_path / "ckpt", init_params(TINY))
     (tmp_path / "ckpt" / "tensors" / "head_bias.vpt").rename(tmp_path / "head_bias.vpt")

@@ -173,6 +173,17 @@ def test_store_manifest_fields_are_checked(tmp_path, line, edit, message):
         load_store(tmp_path / "data")
 
 
+def test_store_duplicate_clip_id_names_the_line(tmp_path):
+    records = generate_dataset(SMALL)[:2]
+    write_store(tmp_path / "data", records)
+    manifest = tmp_path / "data" / "manifest.csv"
+    lines = manifest.read_text(encoding="utf-8").splitlines()
+    manifest.write_text("\n".join(lines + [lines[1]]) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=rf"manifest\.csv line 4: "
+                                         rf"duplicate clip_id '{records[0].clip_id}'"):
+        load_store(tmp_path / "data")
+
+
 def test_split_records_raises_on_empty():
     records = [ClipRecord("x", np.zeros((1, 3, 4, 4), np.float32), 0, "train")]
     assert split_records(records, "train") == records

@@ -26,14 +26,6 @@ class TestMatmul:
         out = T.matmul(t64([[1.0, 0.0]]), t64([[5.0], [7.0]]))
         assert np.array_equal(out.data, [[5.0]])
 
-    def test_batched_broadcast(self):
-        rng = np.random.default_rng(0)
-        a = rng.normal(size=(3, 2, 4))
-        b = rng.normal(size=(1, 4, 5))
-        out = T.matmul(t64(a), t64(b))
-        assert out.shape == (3, 2, 5)
-        assert np.allclose(out.data, a @ b)
-
     def test_inner_mismatch_names_both_shapes(self):
         with pytest.raises(T.ShapeError) as exc:
             T.matmul(t64(np.zeros((2, 3))), t64(np.zeros((4, 2))))
@@ -77,6 +69,23 @@ class TestConv2d:
         with pytest.raises(T.ShapeError):
             T.conv2d(t64(np.zeros((1, 2, 4, 4))), t64(np.zeros((1, 3, 2, 2))),
                      t64(np.zeros(1)), stride=1, pad=0)
+
+    def test_input_gradient_only_for_a_param_or_taped_input(self):
+        rng = np.random.default_rng(3)
+        w, b = T.param(rng.normal(size=(2, 3, 2, 2))), T.param(np.zeros(2))
+        x = rng.normal(size=(2, 3, 4, 4))
+        const, leaf = t64(x), T.param(x)
+        with T.Tape():
+            taped = T.scale(t64(x), 1.0)
+            grads = {}
+            for name, inp in (("const", const), ("leaf", leaf), ("taped", taped)):
+                out = T.conv2d(inp, w, b, stride=2, pad=0)
+                grads[name] = out.node.backward(np.ones(out.shape))
+        assert grads["const"][0] is None
+        assert np.array_equal(grads["leaf"][0], grads["taped"][0])
+        assert grads["leaf"][0].shape == x.shape
+        for name in ("const", "taped"):
+            assert np.array_equal(grads[name][1], grads["leaf"][1])
 
 
 class TestSoftmax:
