@@ -173,7 +173,8 @@ def cmd_selftest(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     # --config may come before or after the verb; a suppressed default keeps
-    # the verb's parser from overwriting a value given before it
+    # the verb's parser from overwriting a value given before it. The verbs
+    # without it name in ``refuse_config`` why a top-level one is an error.
     config = argparse.ArgumentParser(add_help=False)
     config.add_argument("--config", default=argparse.SUPPRESS,
                         help="run config file (key=value lines)")
@@ -205,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", default="test")
     p.add_argument("--out", help="report CSV path (default: <checkpoint>/report.csv)")
     p.add_argument("--run-id")
-    p.set_defaults(func=cmd_eval)
+    p.set_defaults(func=cmd_eval, refuse_config="reads its config from the checkpoint")
 
     p = sub.add_parser("export-attention", help="write attention maps as PGM + VPT1")
     p.add_argument("--checkpoint", required=True)
@@ -214,7 +215,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--layer", type=int, default=0)
     p.add_argument("--head", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_export_attention)
+    p.set_defaults(func=cmd_export_attention,
+                   refuse_config="reads its config from the checkpoint")
 
     p = sub.add_parser("count-cost", parents=[config],
                        help="analytic per-clip FLOP/param counts")
@@ -232,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("selftest", help="run the built-in invariant checks")
-    p.set_defaults(func=cmd_selftest)
+    p.set_defaults(func=cmd_selftest, refuse_config="takes no config")
     return parser
 
 
@@ -240,10 +242,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if hasattr(args, "config") and getattr(args, "refuse_config", None):
+            raise ValueError(f"{args.command} {args.refuse_config}; "
+                             f"--config is not accepted")
         if args.dump_config:
-            path = getattr(args, "config", None)
-            cfg = load_config(path) if path else RunConfig()
-            sys.stdout.write(dump_config(cfg))
+            sys.stdout.write(dump_config(_load_run_config(args)))
             return 0
         if not getattr(args, "func", None):
             raise ValueError("no command given (see --help)")

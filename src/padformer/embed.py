@@ -2,12 +2,13 @@
 
 A clip is tokenized per frame by a single non-overlapping convolution (kernel
 extent equal to its stride), producing a token map without any positional
-encoding. Q, K and V are then produced by shape-preserving 3x3 convolutions,
-and the transformer's feed-forward block is a pair of 1x1 convolutions. No
-operation here owns positional parameters. Maps may carry leading batch axes
-([B, T, C, H, W] for B clips); the convolutions fold them into one batch.
-Kernel shapes are fixed by ``model.parameter_shapes`` and checked where
-weights enter (``load_checkpoint``), not here.
+encoding. Q, K and V come from one shape-preserving 3x3 convolution with 3C
+outputs, split into three maps, and the transformer's feed-forward block is a
+pair of 1x1 convolutions. No operation here owns positional parameters. Maps
+may carry leading batch axes ([B, T, C, H, W] for B clips); the convolutions
+fold them into one batch. Kernel shapes are fixed by
+``model.parameter_shapes`` and checked where weights enter
+(``load_checkpoint``), not here.
 """
 
 from __future__ import annotations
@@ -42,12 +43,17 @@ def conv_token_embed(frames: Tensor, w: Tensor, b: Tensor, stride: int) -> Tenso
 
 
 def conv_project(x: Tensor, wq, bq, wk, bk, wv, bv) -> tuple:
-    """Three independent 3x3 stride-1 convolutions producing the (q, k, v) maps.
+    """The (q, k, v) maps of three 3x3 stride-1 convolutions, run as one.
 
-    All three outputs keep the input shape exactly.
+    The kernels and biases are concatenated at forward time into one
+    convolution with 3C outputs (one im2col copy and one GEMM), whose map is
+    split into q, k and v, each of the input shape. The parameters stay
+    three tensors, so the checkpoint keeps them apart; their gradients flow
+    back through ``concat``.
     """
-    return tuple(tt.conv2d(x, w, b, stride=1, pad=1)
-                 for w, b in ((wq, bq), (wk, bk), (wv, bv)))
+    w = tt.concat([wq, wk, wv], axis=0)
+    b = tt.concat([bq, bk, bv], axis=0)
+    return tuple(tt.split(tt.conv2d(x, w, b, stride=1, pad=1), 3, axis=-3))
 
 
 def conv_ffn(y: Tensor, w1, b1, w2, b2) -> Tensor:

@@ -191,6 +191,14 @@ def test_dump_config_before_a_verb_echoes_file(pipeline, capsys):
     assert capsys.readouterr().out == dump_config(load_config(pipeline["cfg"]))
 
 
+def test_dump_config_applies_the_verb_overrides(pipeline, capsys):
+    assert main(["--config", str(pipeline["cfg"]), "--dump-config",
+                 "train", "--steps", "5", "--seed", "7"]) == 0
+    cfg = parse_config(capsys.readouterr().out)
+    assert (cfg.steps, cfg.seed) == (5, 7)
+    assert cfg == load_config(pipeline["cfg"], {"steps": 5, "seed": 7})
+
+
 @pytest.mark.parametrize("before", [True, False], ids=["before-verb", "after-verb"])
 def test_config_applies_before_or_after_the_verb(pipeline, tmp_path, capsys, before):
     config = ["--config", str(pipeline["cfg"])]
@@ -235,6 +243,28 @@ def test_bad_config_reports_line_number(tmp_path, capsys):
     bad.write_text("steps=5\nlr=fast\n", encoding="utf-8")
     expect_error(["count-cost", "--config", str(bad)],
                  "line 2: invalid float for 'lr'", capsys)
+
+
+def test_eval_rejects_a_top_level_config(pipeline, tmp_path, capsys):
+    out = tmp_path / "report.csv"
+    expect_error(["--config", str(pipeline["cfg"]), "eval",
+                  "--checkpoint", str(pipeline["checkpoint"]), "--out", str(out)],
+                 "eval reads its config from the checkpoint; --config is not accepted",
+                 capsys)
+    assert not out.exists()
+
+
+def test_export_attention_rejects_a_top_level_config(pipeline, tmp_path, capsys):
+    out = tmp_path / "maps"
+    expect_error(["--config", str(pipeline["cfg"]), "export-attention",
+                  "--checkpoint", str(pipeline["checkpoint"]), "--out", str(out)],
+                 "export-attention reads its config from the checkpoint", capsys)
+    assert not out.exists()
+
+
+def test_selftest_rejects_a_top_level_config(tmp_path, capsys):
+    expect_error(["--config", str(tmp_path / "missing.cfg"), "selftest"],
+                 "selftest takes no config; --config is not accepted", capsys)
 
 
 def test_unknown_ablation_axis(pipeline, capsys):

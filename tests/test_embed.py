@@ -1,10 +1,13 @@
 """Convolutional tokenizer, Q/K/V projection, and feed-forward stage."""
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padformer import tensor as T
 from padformer.embed import VideoClip, conv_ffn, conv_project, conv_token_embed
 
+from oracles import conv2d_naive
 from test_gradients import check, scalarize
 
 
@@ -85,6 +88,83 @@ def test_projection_preserves_shape():
     mk = lambda: T.tensor(rng.standard_normal((6, 6, 3, 3)))
     bk = lambda: T.tensor(rng.standard_normal(6))
     q, k, v = conv_project(x, mk(), bk(), mk(), bk(), mk(), bk())
+    assert q.shape == k.shape == v.shape == x.shape
+
+
+def projection_operands(rng, lead, c, h, w):
+    """Random float64 input map and (wq, bq, wk, bk, wv, bv)."""
+    x = rng.normal(size=lead + (c, h, w))
+    weights = []
+    for _ in range(3):
+        weights += [rng.normal(size=(c, c, 3, 3)), rng.normal(size=c)]
+    return x, weights
+
+
+def separate_projection(x, wq, bq, wk, bk, wv, bv):
+    """Reference: one 3x3 conv2d per map, as before the fusion."""
+    return tuple(T.conv2d(x, w, b, stride=1, pad=1)
+                 for w, b in ((wq, bq), (wk, bk), (wv, bv)))
+
+
+def joint_loss(maps, proj):
+    return scalarize(T.concat(list(maps), axis=0), proj)
+
+
+_PROJ_SHAPES = dict(seed=st.integers(0, 10_000), b=st.sampled_from([None, 1, 2, 3]),
+                    t=st.integers(1, 3), c=st.integers(1, 4),
+                    h=st.integers(1, 5), w=st.integers(1, 5))
+
+
+@settings(max_examples=25, deadline=None)
+@given(**_PROJ_SHAPES)
+def test_projection_matches_three_naive_convs(seed, b, t, c, h, w):
+    lead = (t,) if b is None else (b, t)
+    x, weights = projection_operands(np.random.default_rng(seed), lead, c, h, w)
+    maps = conv_project(T.tensor(x, dtype=np.float64),
+                        *[T.tensor(a, dtype=np.float64) for a in weights])
+    frames = x.reshape(-1, c, h, w)
+    for m, (wm, bm) in zip(maps, zip(weights[0::2], weights[1::2])):
+        want = conv2d_naive(frames, wm, bm, stride=1, pad=1).reshape(x.shape)
+        assert m.shape == x.shape
+        np.testing.assert_allclose(m.data, want, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=25, deadline=None)
+@given(**_PROJ_SHAPES)
+def test_projection_gradients_match_separate_convs(seed, b, t, c, h, w):
+    lead = (t,) if b is None else (b, t)
+    rng = np.random.default_rng(seed)
+    x, weights = projection_operands(rng, lead, c, h, w)
+    proj = rng.normal(size=3 * x.size)
+    grads = []
+    for project in (conv_project, separate_projection):
+        tensors = [T.param(a) for a in [x] + weights]
+        with T.Tape():
+            T.backward(joint_loss(project(*tensors), proj))
+        grads.append([p.grad for p in tensors])
+    for name, fused, ref in zip(["x", "wq", "bq", "wk", "bk", "wv", "bv"], *grads):
+        np.testing.assert_allclose(fused, ref, rtol=0, atol=1e-10, err_msg=name)
+
+
+def test_projection_gradient_check():
+    rng = np.random.default_rng(10)
+    x, weights = projection_operands(rng, (2,), 3, 4, 4)
+    proj = rng.normal(size=3 * x.size)
+    check(lambda *p: joint_loss(conv_project(*p), proj), [x] + weights)
+
+
+def test_projection_runs_one_convolution(monkeypatch):
+    calls = []
+    conv2d = T.conv2d
+
+    def counting(x, w, b, stride=1, pad=0):
+        calls.append((w.shape, stride, pad))
+        return conv2d(x, w, b, stride=stride, pad=pad)
+
+    monkeypatch.setattr(T, "conv2d", counting)
+    x, weights = projection_operands(np.random.default_rng(11), (2, 2), 4, 3, 3)
+    q, k, v = conv_project(T.tensor(x), *[T.tensor(a) for a in weights])
+    assert calls == [((12, 4, 3, 3), 1, 1)]
     assert q.shape == k.shape == v.shape == x.shape
 
 
