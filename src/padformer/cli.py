@@ -2,13 +2,16 @@
 gen-data, selftest.
 
 Every command exits 0 on success and prints a single ``error: <reason>`` line
-to stderr with a non-zero exit code on failure.
+to stderr with a non-zero exit code on failure. With ``PADFORMER_TRACEBACK=1``
+in the environment the full traceback is printed before that line.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -252,6 +255,8 @@ def main(argv=None) -> int:
             raise ValueError("no command given (see --help)")
         return args.func(args)
     except Exception as exc:  # single-line machine-parsable contract
+        if os.environ.get("PADFORMER_TRACEBACK") == "1":
+            traceback.print_exc()
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

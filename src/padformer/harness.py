@@ -61,10 +61,7 @@ def train_model(cfg: RunConfig, train_records) -> TrainResult:
     for step in range(cfg.steps):
         batch = make_batch(train_records, cfg, batch_rng, sample_rng, augment_rng)
         lr = lr_at(step, cfg.lr, cfg.steps, cfg.warmup_frac)
-        loss = train_step(batch, params, state, mcfg, lr)
-        if not np.isfinite(loss):
-            raise FloatingPointError(f"non-finite loss at step {step}")
-        rows.append((step, loss, lr))
+        rows.append((step, train_step(batch, params, state, mcfg, lr), lr))
     return TrainResult(params=params, model_config=mcfg, log_rows=rows)
 
 

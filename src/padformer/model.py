@@ -185,7 +185,8 @@ def zero_grads(params: dict):
 def train_step(batch, params: dict, opt_state: AdamState, cfg: ModelConfig,
                lr: float) -> float:
     """One optimization step on a batch of clips, run as one graph over
-    [B, T, 3, H, W]; returns the mean loss."""
+    [B, T, 3, H, W]; returns the mean loss. A non-finite loss or gradient
+    raises ``FloatingPointError`` and leaves the params unchanged."""
     if not batch:
         raise ValueError("train_step: empty batch")
     frames = np.stack([c.frames for c in batch])
@@ -193,6 +194,12 @@ def train_step(batch, params: dict, opt_state: AdamState, cfg: ModelConfig,
         total = cross_entropy(forward(frames, params, cfg), [c.label for c in batch])
         tt.backward(total)
     loss_value = float(total.data)
+    finite_grads = all(np.isfinite(p.grad).all() for p in params.values()
+                       if p.grad is not None)
+    if not (np.isfinite(loss_value) and finite_grads):
+        zero_grads(params)
+        what = "gradient" if np.isfinite(loss_value) else "loss"
+        raise FloatingPointError(f"non-finite {what} at step {opt_state.step}")
     adam_step(params, opt_state, lr)
     zero_grads(params)
     return loss_value
@@ -248,17 +255,18 @@ def augment_frames(frames: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 
 def save_checkpoint(path, params: dict, config_text: str = ""):
     """Write a parameter manifest (name<TAB>relpath), one VPT1 file per tensor,
-    and an echo of the run config."""
-    root = Path(path)
-    (root / "tensors").mkdir(parents=True, exist_ok=True)
-    lines = []
-    for name in sorted(params):
-        rel = "tensors/" + name.replace(".", "_") + ".vpt"
-        vpt.write_tensor(root / rel, params[name].data)
-        lines.append(f"{name}\t{rel}")
-    (root / "manifest.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    if config_text:
-        (root / "config.cfg").write_text(config_text, encoding="utf-8")
+    and an echo of the run config; an existing checkpoint at ``path`` is
+    replaced whole, never mixed with the new one."""
+    with vpt.replace_tree(path, "manifest.tsv") as root:
+        (root / "tensors").mkdir()
+        lines = []
+        for name in sorted(params):
+            rel = "tensors/" + name.replace(".", "_") + ".vpt"
+            vpt.write_tensor(root / rel, params[name].data)
+            lines.append(f"{name}\t{rel}")
+        (root / "manifest.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        if config_text:
+            (root / "config.cfg").write_text(config_text, encoding="utf-8")
 
 
 def load_checkpoint(path, cfg: ModelConfig | None = None) -> dict:

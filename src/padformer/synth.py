@@ -154,15 +154,16 @@ def split_records(records, split: str) -> list:
 # on-disk store: manifest CSV + one VPT1 tensor per clip
 
 def write_store(path, records):
-    root = Path(path)
-    (root / "clips").mkdir(parents=True, exist_ok=True)
-    with open(root / "manifest.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(STORE_HEADER)
-        for r in records:
-            rel = f"clips/{r.clip_id}.vpt"
-            vpt.write_tensor(root / rel, r.frames)
-            writer.writerow([r.clip_id, rel, r.label, r.split])
+    """Write the store; an existing store at ``path`` is replaced whole."""
+    with vpt.replace_tree(path, "manifest.csv") as root:
+        (root / "clips").mkdir()
+        with open(root / "manifest.csv", "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(STORE_HEADER)
+            for r in records:
+                rel = f"clips/{r.clip_id}.vpt"
+                vpt.write_tensor(root / rel, r.frames)
+                writer.writerow([r.clip_id, rel, r.label, r.split])
 
 
 def load_store(path) -> list:

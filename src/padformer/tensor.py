@@ -5,11 +5,17 @@ float64 for gradient checking). Differentiable primitives record themselves on
 the active tape; ``backward`` replays the tape in reverse and accumulates
 gradients into leaf tensors. Higher modules are pure compositions of the
 primitives defined here.
+
+Dtype rule: every primitive returns, and back-propagates, its operands'
+dtype, so a float32 model trains and scores in float32 throughout. ``record``
+enforces it: an output whose dtype differs from a parent's raises
+``TypeError``. Scalar constants are Python floats, which never promote.
 """
 
 from __future__ import annotations
 
 import ctypes
+import math
 import sys
 import threading
 
@@ -23,8 +29,9 @@ __all__ = [
     "mean", "AdamState", "adam_step",
 ]
 
-_INV_SQRT2 = 1.0 / np.sqrt(2.0)
-_INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
+# Python floats: a numpy float64 scalar would promote float32 operands
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+_INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 # glibc malloc settings (mallopt parameter id, value). A training step frees
 # its whole graph at once when its tape exits, and by default glibc then trims
@@ -174,8 +181,13 @@ def record(out_data: np.ndarray, parents, backward_fn) -> Tensor:
 
     ``backward_fn(grad_out)`` must return one gradient array (or None) per
     parent. Modules outside this file use ``record`` to define new
-    differentiable primitives without touching the engine.
+    differentiable primitives without touching the engine. The output must
+    have its parents' dtype; a primitive that promotes raises ``TypeError``.
     """
+    for p in parents:
+        if p.data.dtype != out_data.dtype:
+            op = sys._getframe(1).f_code.co_name           # the calling primitive
+            raise TypeError(f"{op}: {p.data.dtype} operand gave a {out_data.dtype} output")
     out = Tensor(_contig(out_data))
     tape = _active_tape()
     if tape is not None:

@@ -3,13 +3,17 @@
 Layout: 4-byte magic ``VPT1``, u8 dtype code (0 = float32, 1 = float64),
 u8 rank, ``rank`` little-endian u32 extents, then the raw little-endian
 scalars in row-major order. Used for weights, dataset clips and attention
-maps.
+maps; ``replace_tree`` writes a directory of them (a checkpoint or a clip
+store) all at once or not at all.
 """
 
 from __future__ import annotations
 
 import os
+import shutil
 import struct
+import uuid
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -70,3 +74,34 @@ def read_member(root: Path, rel: str, where: str) -> np.ndarray:
     if os.path.isabs(norm) or norm.split(os.sep, 1)[0] == os.pardir:
         raise ValueError(f"{where}: path {rel!r} resolves outside {root}")
     return read_tensor(root / rel)
+
+
+@contextmanager
+def replace_tree(path, manifest: str):
+    """Yield an empty directory beside ``path`` to write a tree into; on a
+    clean exit it takes ``path``'s place with ``os.replace``.
+
+    An old tree at ``path`` is moved aside and removed only after the swap.
+    It must be empty or hold ``manifest`` (an earlier tree of the same kind),
+    so an unrelated directory is never deleted. If the body raises, the new
+    tree is removed and ``path`` is left as it was.
+    """
+    target = Path(os.path.abspath(path))
+    if target.exists() and not (target / manifest).is_file() and (
+            not target.is_dir() or any(target.iterdir())):
+        raise FileExistsError(f"{target} exists and holds no {manifest}; not replacing it")
+    target.parent.mkdir(parents=True, exist_ok=True)
+    tmp = target.with_name(f".{target.name}.{uuid.uuid4().hex[:12]}.tmp")
+    old = tmp.with_suffix(".old")
+    tmp.mkdir()
+    try:
+        yield tmp
+        if target.exists():
+            os.replace(target, old)
+        os.replace(tmp, target)
+    except BaseException:
+        shutil.rmtree(tmp, ignore_errors=True)
+        if old.exists() and not target.exists():
+            os.replace(old, target)
+        raise
+    shutil.rmtree(old, ignore_errors=True)

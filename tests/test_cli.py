@@ -238,6 +238,15 @@ def test_non_finite_loss_stops_training_without_artifacts(pipeline, tmp_path, ca
     assert not (out / "checkpoint").exists()
 
 
+def test_non_finite_gradient_stops_training_without_artifacts(pipeline, tmp_path, capsys,
+                                                             nan_gelu_backward):
+    out = tmp_path / "run"
+    expect_error(["train", "--config", str(pipeline["cfg"]), "--out", str(out)],
+                 "non-finite gradient at step 0", capsys)
+    assert not (out / "train_log.csv").exists()
+    assert not (out / "checkpoint").exists()
+
+
 def test_bad_config_reports_line_number(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("steps=5\nlr=fast\n", encoding="utf-8")
@@ -296,6 +305,21 @@ def test_missing_checkpoint_config(tmp_path, capsys):
 
 def test_no_command(capsys):
     expect_error([], "no command given", capsys)
+
+
+def test_error_is_one_line_without_the_traceback_variable(capsys, monkeypatch):
+    monkeypatch.delenv("PADFORMER_TRACEBACK", raising=False)
+    assert main([]) == 2
+    assert capsys.readouterr().err == "error: no command given (see --help)\n"
+
+
+def test_traceback_variable_adds_the_traceback(capsys, monkeypatch):
+    monkeypatch.setenv("PADFORMER_TRACEBACK", "1")
+    assert main([]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback (most recent call last):\n")
+    assert 'raise ValueError("no command given (see --help)")' in err
+    assert err.endswith("\nerror: no command given (see --help)\n")
 
 
 def test_pgm_writer_scales_and_handles_flat(tmp_path):

@@ -1,0 +1,81 @@
+"""Dtype contract: every primitive returns, and back-propagates, its
+operands' dtype, so float32 training and scoring stay float32 end to end."""
+
+import numpy as np
+import pytest
+
+from padformer import model as M
+from padformer import tensor as T
+from padformer.model import ModelConfig, cross_entropy, forward, init_params, predict_score
+
+# the benchmark workloads' model shapes, with fewer frames where the full
+# clip would only make the test slower
+SHAPES = {
+    "default": ModelConfig(),
+    "longclip": ModelConfig(frames=16, scales=(1, 2, 4)),
+    "hires": ModelConfig(frames=2, height=64, width=64, embed_stride=4, scales=(1,)),
+}
+
+
+def frames_for(cfg, batch, dtype):
+    rng = np.random.default_rng(0)
+    lead = (batch,) if batch else ()
+    return rng.random(lead + (cfg.frames, 3, cfg.height, cfg.width)).astype(dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+@pytest.mark.parametrize("batch", [2, 0], ids=["batched", "single"])
+@pytest.mark.parametrize("shape", SHAPES)
+def test_training_pass_keeps_the_params_dtype(shape, batch, dtype, monkeypatch):
+    cfg = SHAPES[shape]
+    params = init_params(cfg, dtype=dtype)
+    seen = []
+    real_record = T.record
+
+    def spy(out_data, parents, backward_fn):
+        seen.append((backward_fn.__qualname__, out_data.dtype))
+        return real_record(out_data, parents, backward_fn)
+
+    monkeypatch.setattr(T, "record", spy)
+    with T.Tape():
+        logits = forward(frames_for(cfg, batch, dtype), params, cfg)
+        grads = T.backward(cross_entropy(logits, [0, 1][:batch or 1]))
+    assert seen and all(got == dtype for _, got in seen), \
+        [op for op, got in seen if got != dtype]
+    assert len(grads) == len(params)
+    assert all(g.dtype == dtype for g in grads.values())
+    assert all(p.grad.dtype == dtype for p in params.values())
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+@pytest.mark.parametrize("shape", SHAPES)
+def test_scoring_gets_logits_of_the_params_dtype(shape, dtype, monkeypatch):
+    cfg = SHAPES[shape]
+    logits = []
+    real_forward = M.forward
+
+    def spy(*args, **kwargs):
+        logits.append(real_forward(*args, **kwargs))
+        return logits[-1]
+
+    monkeypatch.setattr(M, "forward", spy)
+    score = predict_score(frames_for(cfg, 0, np.float32), init_params(cfg, dtype=dtype), cfg)
+    assert 0.0 <= score <= 1.0
+    assert [z.data.dtype for z in logits] == [dtype]
+
+
+def test_record_rejects_a_dtype_change():
+    def widen(x):
+        return T.record(x.data.astype(np.float64), (x,), lambda g: (g.astype(np.float32),))
+
+    with pytest.raises(TypeError, match=r"^widen: float32 operand gave a float64 output"):
+        widen(T.tensor(np.ones(3), dtype=np.float32))
+
+
+def test_gelu_keeps_float32():
+    x = T.param(np.linspace(-3.0, 3.0, 7, dtype=np.float32))
+    with T.Tape():
+        y = T.gelu(x)
+        grads = T.backward(T.mean(y, (0,)))
+    assert y.data.dtype == np.float32
+    assert grads[x].dtype == np.float32

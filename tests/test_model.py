@@ -1,5 +1,6 @@
 """End-to-end classifier: forward contract, loss, training step, checkpoints."""
 
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -235,6 +236,29 @@ def test_zero_lr_leaves_params_bitwise_unchanged():
         assert np.array_equal(p.data, before[n])
 
 
+def test_non_finite_gradient_stops_the_step(nan_gelu_backward):
+    params = init_params(TINY)
+    before = {n: p.data.copy() for n, p in params.items()}
+    state = AdamState(params)
+    with pytest.raises(FloatingPointError, match="non-finite gradient at step 0"):
+        train_step([rand_clip(TINY, seed=7)], params, state, TINY, lr=1e-3)
+    assert state.step == 0
+    for n, p in params.items():
+        assert np.array_equal(p.data, before[n]) and p.grad is None
+
+
+def test_non_finite_loss_stops_the_step():
+    params = init_params(TINY)
+    params["head.bias"].data[:] = [np.inf, 0.0]
+    before = {n: p.data.copy() for n, p in params.items()}
+    state = AdamState(params)
+    with np.errstate(invalid="ignore"), pytest.raises(
+            FloatingPointError, match="non-finite loss at step 0"):
+        train_step([rand_clip(TINY, seed=7)], params, state, TINY, lr=1e-3)
+    for n, p in params.items():
+        assert np.array_equal(p.data, before[n]) and p.grad is None
+
+
 def test_empty_batch_rejected():
     params = init_params(TINY)
     with pytest.raises(ValueError):
@@ -413,3 +437,35 @@ def test_checkpoint_path_outside_its_root_rejected(tmp_path):
             f"head.bias\t{rel}\n", encoding="utf-8")
         with pytest.raises(ValueError, match=r"manifest\.tsv line 1: .*resolves outside"):
             load_checkpoint(tmp_path / "ckpt")
+
+
+def test_interrupted_checkpoint_overwrite_keeps_the_old_one(tmp_path, fail_writes_after):
+    old = init_params(TINY)
+    save_checkpoint(tmp_path / "ckpt", old, config_text="seed=3\n")
+    fail_writes_after(3)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(tmp_path / "ckpt", init_params(replace(TINY, seed=4)))
+    assert os.listdir(tmp_path) == ["ckpt"]
+    loaded = load_checkpoint(tmp_path / "ckpt", TINY)
+    for name, p in old.items():
+        assert np.array_equal(loaded[name].data, p.data)
+    assert (tmp_path / "ckpt" / "config.cfg").read_text(encoding="utf-8") == "seed=3\n"
+
+
+def test_checkpoint_overwrite_replaces_the_whole_tree(tmp_path):
+    save_checkpoint(tmp_path / "ckpt", init_params(TINY), config_text="seed=3\n")
+    (tmp_path / "ckpt" / "report.csv").write_text("stale\n", encoding="utf-8")
+    new = init_params(replace(TINY, seed=4))
+    save_checkpoint(tmp_path / "ckpt", new)
+    assert os.listdir(tmp_path) == ["ckpt"]
+    assert sorted(os.listdir(tmp_path / "ckpt")) == ["manifest.tsv", "tensors"]
+    loaded = load_checkpoint(tmp_path / "ckpt", TINY)
+    for name, p in new.items():
+        assert np.array_equal(loaded[name].data, p.data)
+
+
+def test_checkpoint_never_replaces_an_unrelated_directory(tmp_path):
+    (tmp_path / "notes.txt").write_text("keep\n", encoding="utf-8")
+    with pytest.raises(FileExistsError, match="holds no manifest.tsv"):
+        save_checkpoint(tmp_path, init_params(TINY))
+    assert os.listdir(tmp_path) == ["notes.txt"]

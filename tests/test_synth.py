@@ -1,5 +1,8 @@
 """Tests for the synthetic spoof-video generator and its on-disk store."""
 
+import os
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -136,6 +139,26 @@ def test_store_round_trip(tmp_path):
     for ra, rb in zip(records, loaded):
         assert (ra.label, ra.split) == (rb.label, rb.split)
         assert ra.frames.tobytes() == rb.frames.tobytes()
+
+
+def test_interrupted_store_overwrite_keeps_the_old_one(tmp_path, fail_writes_after):
+    records = generate_dataset(SMALL)
+    write_store(tmp_path / "data", records)
+    fail_writes_after(3)
+    with pytest.raises(OSError, match="disk full"):
+        write_store(tmp_path / "data", generate_dataset(replace(SMALL, seed=8)))
+    assert os.listdir(tmp_path) == ["data"]
+    loaded = load_store(tmp_path / "data")
+    assert [r.clip_id for r in loaded] == [r.clip_id for r in records]
+    for ra, rb in zip(records, loaded):
+        assert ra.frames.tobytes() == rb.frames.tobytes()
+
+
+def test_store_never_replaces_an_unrelated_directory(tmp_path):
+    (tmp_path / "notes.txt").write_text("keep\n", encoding="utf-8")
+    with pytest.raises(FileExistsError, match="holds no manifest.csv"):
+        write_store(tmp_path, generate_dataset(SMALL)[:2])
+    assert os.listdir(tmp_path) == ["notes.txt"]
 
 
 def test_load_store_missing_manifest(tmp_path):
