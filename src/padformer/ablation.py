@@ -32,6 +32,8 @@ def _cell_acer(cfg: RunConfig, records) -> float:
 def _run_grid(cfg: RunConfig, cells, n_seeds: int):
     """cells: (label, config-field overrides) pairs; returns
     (label, mean_acer, per_seed_acers) rows in grid order."""
+    if n_seeds < 1:
+        raise ValueError(f"need at least one seed per cell, got {n_seeds}")
     datasets = {}
     rows = []
     for label, overrides in cells:

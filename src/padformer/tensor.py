@@ -273,8 +273,12 @@ def gelu(x: Tensor) -> Tensor:
     xd = x.data
     cdf = 0.5 * (1.0 + erf(xd * _INV_SQRT2))
     out = xd * cdf
-    pdf = _INV_SQRT2PI * np.exp(-0.5 * xd * xd)
-    return record(out, (x,), lambda g: (g * (cdf + xd * pdf),))
+
+    def back(g):
+        pdf = _INV_SQRT2PI * np.exp(-0.5 * xd * xd)     # only a backward pays for it
+        return (g * (cdf + xd * pdf),)
+
+    return record(out, (x,), back)
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +311,12 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0) -> Te
     x: [..., Cin, H, W] (all leading axes form one batch), w: [Cout, Cin, kh, kw],
     b: [Cout]. Output: [..., Cout, Ho, Wo] with
     Ho = floor((H + 2*pad - kh) / stride) + 1, likewise Wo.
+
+    The im2col columns are ordered (kh, kw, Cin) and gathered from one
+    zero-padded channels-last copy of the input, so each kernel row of a
+    window is one contiguous run of kw*Cin values, and the backward scatters
+    each tap as one strided add over whole channel runs. A (Cin, kh, kw)
+    order copies runs of only kw values both ways.
     """
     xd, wd = x.data, w.data
     if xd.ndim < 4 or wd.ndim != 4:
@@ -330,12 +340,12 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0) -> Te
     ho = (hp - kh) // stride + 1
     wo = (wp - kw) // stride + 1
 
-    xp = np.pad(xd, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else xd
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride]                     # [N, Cin, Ho, Wo, kh, kw]
-    cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5))
-    cols = cols.reshape(n * ho * wo, cin * kh * kw)
-    wmat = wd.reshape(cout, -1)
+    xp = np.zeros((n, hp, wp, cin), dtype=xd.dtype)
+    xp[:, pad:pad + h, pad:pad + wid] = xd.transpose(0, 2, 3, 1)
+    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw, cin), axis=(1, 2, 3))
+    win = win[:, ::stride, ::stride, 0]                     # [N, Ho, Wo, kh, kw, Cin]
+    cols = win.reshape(n * ho * wo, kh * kw * cin)
+    wmat = wd.transpose(0, 2, 3, 1).reshape(cout, -1)
     out = cols @ wmat.T + b.data
     out = out.reshape(n, ho, wo, cout).transpose(0, 3, 1, 2).reshape(lead + (cout, ho, wo))
     # a constant input (the frames) gets no gradient, so its col2im is skipped
@@ -344,16 +354,16 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0) -> Te
     def back(g):
         g = g.reshape(n, cout, ho, wo)
         gmat = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(-1, cout)
-        gw = (gmat.T @ cols).reshape(wd.shape)
+        gw = (gmat.T @ cols).reshape(cout, kh, kw, cin).transpose(0, 3, 1, 2)
         gb = gmat.sum(axis=0)
         if not need_gx:
             return None, gw, gb
-        gcols = (gmat @ wmat).reshape(n, ho, wo, cin, kh, kw).transpose(0, 3, 1, 2, 4, 5)
-        gxp = np.zeros((n, cin, hp, wp), dtype=g.dtype)
+        gcols = (gmat @ wmat).reshape(n, ho, wo, kh, kw, cin)
+        gxp = np.zeros((n, hp, wp, cin), dtype=g.dtype)
         for i in range(kh):
             for j in range(kw):
-                gxp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += gcols[:, :, :, :, i, j]
-        gx = gxp[:, :, pad:pad + h, pad:pad + wid] if pad else gxp
+                gxp[:, i:i + stride * ho:stride, j:j + stride * wo:stride] += gcols[:, :, :, i, j]
+        gx = gxp[:, pad:pad + h, pad:pad + wid].transpose(0, 3, 1, 2)
         return gx.reshape(xshape), gw, gb
 
     return record(out, (x, w, b), back)

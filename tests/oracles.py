@@ -28,6 +28,34 @@ def conv2d_naive(x, w, b, stride, pad):
     return out
 
 
+def conv2d_backward_naive(x, w, g, stride, pad):
+    """Nested-loop gradients of ``conv2d_naive`` for the output gradient g.
+
+    Each output position spreads g over the input window it read; returns
+    (gx, gw, gb) with the shapes of x, w and the bias.
+    """
+    n, cin, h, wid = x.shape
+    cout, _, kh, kw = w.shape
+    _, _, ho, wo = g.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    gxp = np.zeros_like(xp)
+    gw = np.zeros_like(w)
+    gb = np.zeros(cout, dtype=g.dtype)
+    for ni in range(n):
+        for co in range(cout):
+            for oi in range(ho):
+                for oj in range(wo):
+                    go = g[ni, co, oi, oj]
+                    gb[co] += go
+                    for ci in range(cin):
+                        for i in range(kh):
+                            for j in range(kw):
+                                r, c = oi * stride + i, oj * stride + j
+                                gw[co, ci, i, j] += go * xp[ni, ci, r, c]
+                                gxp[ni, ci, r, c] += go * w[co, ci, i, j]
+    return gxp[:, :, pad:pad + h, pad:pad + wid], gw, gb
+
+
 def metrics_recount(scores, threshold):
     """Brute-force confusion recount; returns (apcer, bpcer, acer) in percent."""
     attacks_total = attacks_accepted = bona_total = bona_rejected = 0

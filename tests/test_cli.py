@@ -281,6 +281,15 @@ def test_unknown_ablation_axis(pipeline, capsys):
                  "unknown ablation axis 'width'", capsys)
 
 
+@pytest.mark.parametrize("axis,seeds", [("scales", "0"), ("clip-length", "-1")])
+def test_ablate_needs_at_least_one_seed(pipeline, tmp_path, capsys, axis, seeds):
+    out = tmp_path / "out"
+    expect_error(["ablate", "--axis", axis, "--config", str(pipeline["cfg"]),
+                  "--seeds", seeds, "--out", str(out)],
+                 f"need at least one seed per cell, got {seeds}", capsys)
+    assert not (out / f"ablation_{axis}.csv").exists()
+
+
 def test_export_attention_range_checks(pipeline, tmp_path, capsys):
     base = ["export-attention", "--checkpoint", str(pipeline["checkpoint"]),
             "--data", str(pipeline["data"]), "--out", str(tmp_path / "m")]

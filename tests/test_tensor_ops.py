@@ -5,11 +5,11 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from padformer import tensor as T
-from oracles import conv2d_naive
+from oracles import conv2d_backward_naive, conv2d_naive
 
 
 def t64(x):
@@ -86,6 +86,38 @@ class TestConv2d:
         assert grads["leaf"][0].shape == x.shape
         for name in ("const", "taped"):
             assert np.array_equal(grads[name][1], grads["leaf"][1])
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10_000), lead=st.sampled_from([(1,), (3,), (2, 2)]),
+           cin=st.integers(1, 5), cout=st.integers(1, 3),
+           kh=st.integers(1, 4), kw=st.integers(1, 4), stride=st.integers(1, 3),
+           pad=st.integers(0, 2), dh=st.integers(0, 4), dw=st.integers(0, 4),
+           dtype=st.sampled_from([np.float32, np.float64]))
+    @example(seed=0, lead=(2, 2), cin=3, cout=2, kh=3, kw=2, stride=2, pad=0,
+             dh=1, dw=2, dtype=np.float32)                  # stride == kw < kh
+    @example(seed=1, lead=(3,), cin=2, cout=3, kh=2, kw=4, stride=1, pad=2,
+             dh=0, dw=0, dtype=np.float64)                  # stride < kernel, pad 2
+    def test_forward_and_gradients_match_loop_oracles(self, seed, lead, cin, cout, kh, kw,
+                                                      stride, pad, dh, dw, dtype):
+        rng = np.random.default_rng(seed)
+        h, wid = max(1, kh - 2 * pad) + dh, max(1, kw - 2 * pad) + dw
+        x = rng.normal(size=lead + (cin, h, wid)).astype(dtype)
+        w = rng.normal(size=(cout, cin, kh, kw)).astype(dtype)
+        b = rng.normal(size=cout).astype(dtype)
+        xt, wt, bt = T.param(x), T.param(w), T.param(b)
+        with T.Tape():
+            out = T.conv2d(xt, wt, bt, stride=stride, pad=pad)
+            g = rng.normal(size=out.shape).astype(dtype)
+            gx, gw, gb = out.node.backward(g)
+        x64, w64 = x.reshape((-1,) + x.shape[-3:]).astype(np.float64), w.astype(np.float64)
+        ref = conv2d_naive(x64, w64, b.astype(np.float64), stride, pad)
+        g64 = g.reshape(ref.shape).astype(np.float64)
+        ref_gx, ref_gw, ref_gb = conv2d_backward_naive(x64, w64, g64, stride, pad)
+        tol = 1e-4 if dtype == np.float32 else 1e-10
+        for got, want in ((out.data, ref), (gx, ref_gx), (gw, ref_gw), (gb, ref_gb)):
+            assert got.dtype == dtype
+            np.testing.assert_allclose(got, want.reshape(got.shape), rtol=tol, atol=tol)
+        assert out.shape == lead + ref.shape[1:] and gx.shape == x.shape
 
 
 class TestSoftmax:
