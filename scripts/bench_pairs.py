@@ -2,21 +2,24 @@
 
 Each pair runs the benchmark's ``perfbench/run.py`` once in an unpacked copy
 of the parent commit and once in the working tree, parent first in odd pairs
-and change first in even pairs, with the same seed and run length. The
-untraced pairs give the end-to-end metrics; optional traced pairs give the
-per-layer ones. The result is one ``BENCH_*.json`` record: the command, the
-method, the environment, the ``src/`` line count of both sides, the claim,
-every run and each side's median and quartiles.
+and change first in even pairs, with the same seed and the run length that
+``BENCHMARK.json`` sets (``run_seconds``). The untraced pairs give the
+end-to-end metrics; optional traced pairs give the per-layer ones. The result
+is one ``BENCH_*.json`` record: the command, the method, the environment, the
+``src/`` line count of both sides, the claim, every run and each side's median
+and quartiles.
 
 Usage, from the root of the checkout:
 
-    python3 scripts/bench_pairs.py --parent HEAD --seed 83 --seconds 25 \\
+    python3 scripts/bench_pairs.py --parent HEAD --seed 83 \\
         --pairs eval-hires=10 --pairs train-default=5 --traced-pairs 1 \\
         --claim eval-hires:clips_per_s --title "..." --out BENCH_x.json
 
 The parent copy comes from ``git archive`` into a temporary directory, which
 is removed when the script ends; the repository's own checkout and git state
-are not touched.
+are not touched. The script refuses to run when ``perfbench/`` or
+``BENCHMARK.json`` in the working tree (untracked files included) differ
+from the parent commit, so both sides always run the same benchmark.
 """
 
 from __future__ import annotations
@@ -43,8 +46,11 @@ def unpack_commit(rev: str, dest: Path) -> str:
     archive = dest.parent / "parent.tar"
     subprocess.run(["git", "archive", "--format=tar", "-o", str(archive), sha],
                    cwd=ROOT, check=True)
+    # The "data" filter exists from Python 3.10.12 / 3.11.4 on; the archive comes
+    # from git archive, so older Pythons extract it without one.
+    safe = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
     with tarfile.open(archive) as tar:
-        tar.extractall(dest, filter="data")
+        tar.extractall(dest, **safe)
     archive.unlink()
     return sha
 
@@ -150,8 +156,6 @@ def parse_args(argv=None):
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--parent", default="HEAD", help="commit to compare against")
     ap.add_argument("--seed", type=int, required=True)
-    ap.add_argument("--seconds", type=float, default=None,
-                    help="run length (default: BENCHMARK.json run_seconds)")
     ap.add_argument("--pairs", action="append", required=True, metavar="WORKLOAD=N",
                     help="untraced pairs for one workload; repeat per workload")
     ap.add_argument("--traced-pairs", type=int, default=0,
@@ -166,7 +170,7 @@ def parse_args(argv=None):
 def main(argv=None) -> int:
     args = parse_args(argv)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    seconds = args.seconds if args.seconds is not None else float(bench["run_seconds"])
+    seconds = float(bench["run_seconds"])
     plan = {}
     for item in args.pairs:
         name, _, n = item.partition("=")
@@ -184,9 +188,13 @@ def main(argv=None) -> int:
     def log(msg):
         print(msg, file=sys.stderr, flush=True)
 
-    same = subprocess.run(["git", "diff", "--quiet", args.parent, "--", "perfbench",
-                           "BENCHMARK.json"], cwd=ROOT)
-    if same.returncode != 0:
+    bench_paths = ["--", "perfbench", "BENCHMARK.json"]
+    differs = subprocess.run(["git", "diff", "--quiet", args.parent, *bench_paths],
+                             cwd=ROOT).returncode != 0
+    untracked = subprocess.run(["git", "ls-files", "--others", "--exclude-standard",
+                                *bench_paths], cwd=ROOT,
+                               check=True, capture_output=True, text=True).stdout.strip()
+    if differs or untracked:
         raise SystemExit("error: perfbench/ or BENCHMARK.json differs from the parent; "
                          "both sides must run the same benchmark")
 
