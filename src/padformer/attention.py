@@ -21,68 +21,6 @@ from . import tensor as tt
 from .tensor import ShapeError, Tensor
 
 
-@dataclass(frozen=True)
-class ScaleConfig:
-    """Per-head grid divisors; the head count is the number of scales."""
-
-    scales: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "scales", tuple(int(s) for s in self.scales))
-        if not self.scales:
-            raise ValueError("at least one scale is required")
-        for s in self.scales:
-            if s < 1:
-                raise ValueError(f"scale divisors must be >= 1, got {s}")
-
-    @property
-    def head_count(self) -> int:
-        return len(self.scales)
-
-    def validate(self, channels: int, map_h: int, map_w: int):
-        if channels % self.head_count:
-            raise ShapeError(
-                f"{channels} channels not divisible across {self.head_count} heads")
-        for s in self.scales:
-            if map_h % s or map_w % s:
-                raise ShapeError(f"scale {s} does not divide map extent {map_h}x{map_w}")
-
-
-@dataclass
-class HeadPatchSet:
-    """The N = T * l**2 flattened patch tokens of one head.
-
-    ``tokens`` is [N, D] (one clip) or [B, N, D] (a batch) with
-    D = channels * cell_h * cell_w. Token order is frame-major, then grid row,
-    then grid column; ``frame_of`` and ``cell_of`` map token index back to its
-    source frame and grid cell.
-    """
-
-    tokens: Tensor
-    frames: int
-    scale: int
-    channels: int
-    cell_h: int
-    cell_w: int
-
-    @property
-    def frame_of(self) -> np.ndarray:
-        return np.arange(self.count) // self.scale ** 2
-
-    @property
-    def cell_of(self) -> np.ndarray:
-        rem = np.arange(self.count) % self.scale ** 2
-        return np.stack([rem // self.scale, rem % self.scale], axis=1)
-
-    @property
-    def count(self) -> int:
-        return self.tokens.shape[-2]
-
-    @property
-    def dim(self) -> int:
-        return self.tokens.shape[-1]
-
-
 @dataclass
 class AttentionRecord:
     """Row-stochastic attention weights of one head for one clip, kept for
@@ -91,12 +29,22 @@ class AttentionRecord:
     layer: int
     head: int
     scale: int
-    alpha: np.ndarray          # [N, N]
-    frame_of: np.ndarray
-    cell_of: np.ndarray
+    alpha: np.ndarray          # [N, N], N = T * scale**2
     map_h: int
     map_w: int
     clip: int = 0
+
+    @property
+    def frame_of(self) -> np.ndarray:
+        """Source frame of each token; tokens run frame-major, then grid row,
+        then grid column."""
+        return np.arange(self.alpha.shape[0]) // self.scale ** 2
+
+    @property
+    def cell_of(self) -> np.ndarray:
+        """(grid row, grid column) of each token."""
+        rem = np.arange(self.alpha.shape[0]) % self.scale ** 2
+        return np.stack([rem // self.scale, rem % self.scale], axis=1)
 
 
 def _batch_axes(lead: tuple, axes: tuple) -> tuple:
@@ -104,79 +52,69 @@ def _batch_axes(lead: tuple, axes: tuple) -> tuple:
     return tuple(range(len(lead))) + tuple(len(lead) + a for a in axes)
 
 
-def partition_patches(f: Tensor, scale: int) -> HeadPatchSet:
+def partition_patches(f: Tensor, scale: int) -> Tensor:
     """Split each frame of [T, C, H, W] (or [B, T, C, H, W]) into an l x l grid
-    of flattened tokens: [T * l * l, C * H/l * W/l] (or [B, ...])."""
+    of flattened tokens: [T * l * l, C * H/l * W/l] (or [B, ...]), in the
+    order of ``AttentionRecord.frame_of`` and ``cell_of``."""
     lead, (t, c, h, w) = f.shape[:-4], f.shape[-4:]
     ph, pw = h // scale, w // scale
     g = tt.reshape(f, lead + (t, c, scale, ph, scale, pw))
     g = tt.transpose(g, _batch_axes(lead, (0, 2, 4, 1, 3, 5)))   # [.., T, l, l, C, ph, pw]
-    tokens = tt.reshape(g, lead + (t * scale * scale, c * ph * pw))
-    return HeadPatchSet(tokens, frames=t, scale=scale, channels=c, cell_h=ph, cell_w=pw)
+    return tt.reshape(g, lead + (t * scale * scale, c * ph * pw))
 
 
-def unpartition_patches(ps: HeadPatchSet) -> Tensor:
-    """Place every token back at its frame/grid position; inverse of partition."""
-    t, l, c, ph, pw = ps.frames, ps.scale, ps.channels, ps.cell_h, ps.cell_w
-    lead = ps.tokens.shape[:-2]
-    g = tt.reshape(ps.tokens, lead + (t, l, l, c, ph, pw))
+def unpartition_patches(tokens: Tensor, shape: tuple, scale: int) -> Tensor:
+    """Place every token back at its frame/grid position in a map of ``shape``;
+    inverse of partition."""
+    lead, (t, c, h, w) = shape[:-4], shape[-4:]
+    g = tt.reshape(tokens, lead + (t, scale, scale, c, h // scale, w // scale))
     g = tt.transpose(g, _batch_axes(lead, (0, 3, 1, 4, 2, 5)))   # [.., T, C, l, ph, l, pw]
-    return tt.reshape(g, lead + (t, c, l * ph, l * pw))
+    return tt.reshape(g, shape)
 
 
-def head_attention(qp: HeadPatchSet, kp: HeadPatchSet, vp: HeadPatchSet,
-                   record: list | None = None, layer: int = 0, head: int = 0) -> HeadPatchSet:
+def head_attention(q: Tensor, k: Tensor, v: Tensor) -> tuple:
     """Scaled dot-product attention over one head's stacked patch tokens.
 
     Scores are q . k / sqrt(D) with D the flattened patch dimension of this
-    head, softmaxed per query row; the attended tokens keep the query
-    geometry. Batched token sets ([B, N, D]) attend clip by clip in one
-    batched matmul. When ``record`` is given, one weight matrix per clip is
-    appended to it.
+    head, softmaxed per query row. Batched tokens ([B, N, D]) attend clip by
+    clip in one batched matmul. Returns the attended tokens and the weights.
     """
-    kt = tt.transpose(kp.tokens, _batch_axes(kp.tokens.shape[:-2], (1, 0)))
-    scores = tt.scale(tt.matmul(qp.tokens, kt), 1.0 / np.sqrt(qp.dim))
+    kt = tt.transpose(k, _batch_axes(k.shape[:-2], (1, 0)))
+    scores = tt.scale(tt.matmul(q, kt), 1.0 / np.sqrt(q.shape[-1]))
     alpha = tt.softmax(scores, axis=-1)
-    if record is not None:
-        n = qp.count
-        for clip, weights in enumerate(alpha.data.reshape(-1, n, n)):
-            record.append(AttentionRecord(
-                layer=layer, head=head, scale=qp.scale, alpha=weights.copy(),
-                frame_of=qp.frame_of, cell_of=qp.cell_of,
-                map_h=qp.scale * qp.cell_h, map_w=qp.scale * qp.cell_w, clip=clip))
-    attended = tt.matmul(alpha, vp.tokens)
-    return HeadPatchSet(attended, frames=vp.frames, scale=vp.scale, channels=vp.channels,
-                        cell_h=vp.cell_h, cell_w=vp.cell_w)
+    return tt.matmul(alpha, v), alpha
 
 
-def reassemble_and_concat(heads: list) -> Tensor:
-    """Restore each head to full map resolution and concatenate on channels."""
-    maps = [unpartition_patches(h) for h in heads]
-    return maps[0] if len(maps) == 1 else tt.concat(maps, axis=-3)
-
-
-def multiscale_attention(qkv, cfg: ScaleConfig, records: list | None = None,
+def multiscale_attention(qkv, scales, records: list | None = None,
                          layer: int = 0) -> Tensor:
     """Full multi-scale attention: split channels across heads, attend, reassemble.
 
-    ``qkv`` holds three [T, C, H, W] (or [B, T, C, H, W]) maps; the result has
-    the same shape and is added residually by the caller.
+    ``qkv`` holds three [T, C, H, W] (or [B, T, C, H, W]) maps and ``scales``
+    one grid divisor per head; the result has the maps' shape and is added
+    residually by the caller. When ``records`` is given, one
+    ``AttentionRecord`` per head and clip is appended to it.
     """
     q, k, v = qkv
     if q.shape != k.shape or k.shape != v.shape:
         raise ShapeError(f"q/k/v maps disagree: {q.shape}, {k.shape}, {v.shape}")
-    n_heads = cfg.head_count
-    if n_heads > 1:
-        qs, ks, vs = (tt.split(m, n_heads, -3) for m in (q, k, v))
+    if len(scales) > 1:
+        qs, ks, vs = (tt.split(m, len(scales), -3) for m in (q, k, v))
     else:
         qs, ks, vs = [q], [k], [v]
-    out_heads = []
-    for i, l in enumerate(cfg.scales):
-        qp = partition_patches(qs[i], l)
-        kp = partition_patches(ks[i], l)
-        vp = partition_patches(vs[i], l)
-        out_heads.append(head_attention(qp, kp, vp, record=records, layer=layer, head=i))
-    return reassemble_and_concat(out_heads)
+    heads = []
+    for i, l in enumerate(scales):
+        attended, alpha = head_attention(partition_patches(qs[i], l),
+                                         partition_patches(ks[i], l),
+                                         partition_patches(vs[i], l))
+        heads.append(attended)
+        if records is not None:
+            n = alpha.shape[-1]
+            records.extend(
+                AttentionRecord(layer=layer, head=i, scale=l, alpha=weights.copy(),
+                                map_h=q.shape[-2], map_w=q.shape[-1], clip=clip)
+                for clip, weights in enumerate(alpha.data.reshape(-1, n, n)))
+    maps = [unpartition_patches(h, qs[0].shape, l) for h, l in zip(heads, scales)]
+    return maps[0] if len(maps) == 1 else tt.concat(maps, axis=-3)
 
 
 def short_long_masks(frame_of: np.ndarray):

@@ -155,13 +155,17 @@ def cmd_ablate(args) -> int:
     if args.axis not in ("scales", "clip-length"):
         raise ValueError(f"unknown ablation axis {args.axis!r}")
     cfg = _load_run_config(args)
-    out = Path(args.out or cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     if args.axis == "scales":
         rows = ablation_scales(cfg, n_seeds=args.seeds)
     else:
-        grid = tuple(int(t) for t in args.grid.split(","))
+        try:
+            grid = tuple(int(t) for t in args.grid.split(","))
+        except ValueError:
+            raise ValueError(f"--grid needs comma-separated clip lengths, "
+                             f"got {args.grid!r}") from None
         rows = ablation_clip_length(cfg, grid=grid, n_seeds=args.seeds)
+    out = Path(args.out or cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     path = out / f"ablation_{args.axis}.csv"
     write_ablation_csv(path, rows, args.seeds)
     for label, mean_acer, _ in rows:

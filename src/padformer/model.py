@@ -21,7 +21,7 @@ from scipy.stats import truncnorm
 
 from . import tensor as tt
 from . import vpt
-from .attention import ScaleConfig, multiscale_attention
+from .attention import multiscale_attention
 from .embed import VideoClip, conv_ffn, conv_project, conv_token_embed
 from .rng import stream
 from .tensor import AdamState, ShapeError, Tensor, adam_step
@@ -56,7 +56,15 @@ class ModelConfig:
             raise ValueError(
                 f"frame extent {self.height}x{self.width} not divisible by "
                 f"stride {self.embed_stride}")
-        self.scale_config.validate(self.embed_channels, self.map_h, self.map_w)
+        if not self.scales or min(self.scales) < 1:
+            raise ValueError(f"need at least one scale, each >= 1, got {self.scales}")
+        if self.embed_channels % len(self.scales):
+            raise ShapeError(f"{self.embed_channels} channels not divisible across "
+                             f"{len(self.scales)} heads")
+        for s in self.scales:
+            if self.map_h % s or self.map_w % s:
+                raise ShapeError(f"scale {s} does not divide map extent "
+                                 f"{self.map_h}x{self.map_w}")
 
     @property
     def map_h(self) -> int:
@@ -65,10 +73,6 @@ class ModelConfig:
     @property
     def map_w(self) -> int:
         return self.width // self.embed_stride
-
-    @property
-    def scale_config(self) -> ScaleConfig:
-        return ScaleConfig(self.scales)
 
 
 def parameter_shapes(cfg: ModelConfig) -> dict:
@@ -127,14 +131,13 @@ def forward(clip, params: dict, cfg: ModelConfig, records: list | None = None) -
     single = frames.ndim == 4
     x = conv_token_embed(Tensor(frames.reshape((-1,) + want)), params["embed.weight"],
                          params["embed.bias"], cfg.embed_stride)
-    scale_cfg = cfg.scale_config
     for i in range(cfg.depth):
         qkv = conv_project(
             x,
             params[f"layers.{i}.q.weight"], params[f"layers.{i}.q.bias"],
             params[f"layers.{i}.k.weight"], params[f"layers.{i}.k.bias"],
             params[f"layers.{i}.v.weight"], params[f"layers.{i}.v.bias"])
-        h = multiscale_attention(qkv, scale_cfg, records=records, layer=i)
+        h = multiscale_attention(qkv, cfg.scales, records=records, layer=i)
         y = tt.add(h, x)
         normed = tt.layer_norm(y, 2, params[f"layers.{i}.norm.gamma"],
                                params[f"layers.{i}.norm.beta"])

@@ -7,8 +7,7 @@ import tempfile
 import numpy as np
 
 from . import tensor as tt
-from .attention import ScaleConfig, multiscale_attention, partition_patches, \
-    unpartition_patches
+from .attention import multiscale_attention, partition_patches, unpartition_patches
 from .config import RunConfig, dump_config, parse_config
 from .embed import VideoClip
 from .metrics import compute_metrics
@@ -22,7 +21,7 @@ def _check_attention_rows_stochastic():
     q, k, v = (tt.tensor(rng.normal(size=(2, 6, 4, 4)), dtype=np.float64)
                for _ in range(3))
     recs = []
-    multiscale_attention((q, k, v), ScaleConfig([1, 2]), records=recs)
+    multiscale_attention((q, k, v), (1, 2), records=recs)
     for r in recs:
         if not np.allclose(r.alpha.sum(axis=1), 1.0, atol=1e-8) or np.any(r.alpha < 0):
             return "attention rows not stochastic"
@@ -32,16 +31,16 @@ def _check_attention_rows_stochastic():
 def _check_patch_count():
     for t in (1, 2, 4, 8):
         for l in (1, 2, 4):
-            ps = partition_patches(tt.tensor(np.zeros((t, 2, 8, 8))), l)
-            if ps.count != t * l * l:
-                return f"patch count {ps.count} != {t * l * l} at T={t}, l={l}"
+            n = partition_patches(tt.tensor(np.zeros((t, 2, 8, 8))), l).shape[-2]
+            if n != t * l * l:
+                return f"patch count {n} != {t * l * l} at T={t}, l={l}"
     return None
 
 
 def _check_partition_round_trip():
     rng = np.random.default_rng(1)
     x = tt.tensor(rng.normal(size=(3, 2, 8, 8)))
-    back = unpartition_patches(partition_patches(x, 2))
+    back = unpartition_patches(partition_patches(x, 2), x.shape, 2)
     if not np.array_equal(back.data, x.data):
         return "partition/unpartition round trip is not bitwise"
     return None

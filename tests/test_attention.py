@@ -8,10 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from padformer import tensor as T
-from padformer.attention import (AttentionRecord, HeadPatchSet, ScaleConfig,
-                                 attention_rollout, head_attention,
-                                 multiscale_attention, partition_patches,
-                                 reassemble_and_concat, short_long_masks,
+from padformer.attention import (AttentionRecord, attention_rollout,
+                                 head_attention, multiscale_attention,
+                                 partition_patches, short_long_masks,
                                  unpartition_patches, upsample_nearest)
 from padformer.tensor import ShapeError
 
@@ -27,47 +26,78 @@ def rand_qkv(seed, t, c, h, w):
     return tuple(rand_map(rng, t, c, h, w) for _ in range(3))
 
 
+def record_for(n, scale, alpha=None):
+    """An AttentionRecord over ``n`` tokens of a 4x4 map; uniform weights by
+    default."""
+    alpha = np.full((n, n), 1.0 / n) if alpha is None else alpha
+    return AttentionRecord(layer=0, head=0, scale=scale, alpha=alpha, map_h=4, map_w=4)
+
+
 # ---------------------------------------------------------------- partition
 
 @pytest.mark.parametrize("t", [1, 2, 4, 8])
 @pytest.mark.parametrize("l", [1, 2, 4])
 def test_patch_count_is_frames_times_scale_squared(t, l):
     f = T.tensor(np.zeros((t, 2, 8, 8)))
-    ps = partition_patches(f, l)
-    assert ps.count == t * l * l
-    assert ps.dim == 2 * (8 // l) * (8 // l)
+    assert partition_patches(f, l).shape == (t * l * l, 2 * (8 // l) * (8 // l))
 
 
 def test_patch_counts_for_eight_frames():
     f = T.tensor(np.zeros((8, 3, 8, 8)))
-    assert partition_patches(f, 1).count == 8
-    assert partition_patches(f, 2).count == 32
-    assert partition_patches(f, 4).count == 128
+    assert partition_patches(f, 1).shape[-2] == 8
+    assert partition_patches(f, 2).shape[-2] == 32
+    assert partition_patches(f, 4).shape[-2] == 128
 
 
 def test_partition_order_and_bookkeeping():
     # frame-major then grid row then grid column
-    ps = partition_patches(T.tensor(np.zeros((2, 1, 4, 4))), 2)
-    assert ps.frame_of.tolist() == [0, 0, 0, 0, 1, 1, 1, 1]
-    assert ps.cell_of[:4].tolist() == [[0, 0], [0, 1], [1, 0], [1, 1]]
-    assert ps.cell_of[4:].tolist() == [[0, 0], [0, 1], [1, 0], [1, 1]]
+    n = partition_patches(T.tensor(np.zeros((2, 1, 4, 4))), 2).shape[-2]
+    rec = record_for(n, scale=2)
+    assert rec.frame_of.tolist() == [0, 0, 0, 0, 1, 1, 1, 1]
+    assert rec.cell_of[:4].tolist() == [[0, 0], [0, 1], [1, 0], [1, 1]]
+    assert rec.cell_of[4:].tolist() == [[0, 0], [0, 1], [1, 0], [1, 1]]
 
 
 def test_partition_token_contents():
     x = np.arange(2 * 1 * 4 * 4, dtype=np.float32).reshape(2, 1, 4, 4)
-    ps = partition_patches(T.tensor(x), 2)
+    tokens = partition_patches(T.tensor(x), 2).data
     # token 1 is frame 0, grid cell (0, 1): rows 0..1, cols 2..3
-    assert np.array_equal(ps.tokens.data[1], x[0, 0, 0:2, 2:4].reshape(-1))
+    assert np.array_equal(tokens[1], x[0, 0, 0:2, 2:4].reshape(-1))
     # token 6 is frame 1, grid cell (1, 0)
-    assert np.array_equal(ps.tokens.data[6], x[1, 0, 2:4, 0:2].reshape(-1))
+    assert np.array_equal(tokens[6], x[1, 0, 2:4, 0:2].reshape(-1))
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10_000), t=st.integers(1, 4), scale=st.integers(1, 4),
+       channels=st.integers(1, 3), cell=st.integers(1, 3),
+       batch=st.sampled_from([None, 1, 2, 3]))
+def test_partition_order_matches_record_bookkeeping(seed, t, scale, channels, cell, batch):
+    # token i of a clip is the map cell (frame_of[i], cell_of[i]) of that clip's
+    # record: the mapping export-attention paints heat maps by
+    rng = np.random.default_rng(seed)
+    side = scale * cell
+    lead = () if batch is None else (batch,)
+    x = T.tensor(rng.normal(size=lead + (t, channels, side, side)), dtype=np.float64)
+    tokens = partition_patches(x, scale).data
+    recs = []
+    multiscale_attention((x, x, x), (scale,), records=recs)
+    assert [r.clip for r in recs] == list(range(batch or 1))
+    for r in recs:
+        clip_map = x.data if batch is None else x.data[r.clip]
+        clip_tokens = tokens if batch is None else tokens[r.clip]
+        assert r.alpha.shape == (t * scale * scale,) * 2
+        for i, (frame, (row, col)) in enumerate(zip(r.frame_of, r.cell_of)):
+            patch = clip_map[frame, :, row * cell:(row + 1) * cell,
+                             col * cell:(col + 1) * cell]
+            assert np.array_equal(clip_tokens[i], patch.reshape(-1))
 
 
 @pytest.mark.parametrize("t,l", [(1, 1), (2, 2), (4, 4), (3, 2)])
 def test_partition_unpartition_round_trip_bitwise(t, l):
     rng = np.random.default_rng(t * 10 + l)
     x = T.tensor(rng.normal(size=(t, 3, 8, 8)))
-    ps = partition_patches(x, l)
-    assert np.array_equal(unpartition_patches(ps).data, x.data)
+    assert np.array_equal(unpartition_patches(partition_patches(x, l), x.shape, l).data,
+                          x.data)
 
 
 def test_partition_rejects_indivisible_extent():
@@ -75,15 +105,20 @@ def test_partition_rejects_indivisible_extent():
         partition_patches(T.tensor(np.zeros((1, 2, 6, 6))), 4)
 
 
+def test_unpartition_rejects_tokens_of_another_map():
+    tokens = partition_patches(rand_map(np.random.default_rng(8), 2, 2, 4, 4), 1)
+    with pytest.raises(ShapeError):
+        unpartition_patches(tokens, (2, 2, 8, 8), 2)
+
+
 # ----------------------------------------------------------- head attention
 
 def test_single_token_attention_is_identity():
     q, k, v = rand_qkv(0, 1, 2, 3, 3)
-    rec = []
-    out = head_attention(partition_patches(q, 1), partition_patches(k, 1),
-                         partition_patches(v, 1), record=rec)
-    assert np.array_equal(rec[0].alpha, np.array([[1.0]]))
-    assert np.array_equal(out.tokens.data, partition_patches(v, 1).tokens.data)
+    out, alpha = head_attention(partition_patches(q, 1), partition_patches(k, 1),
+                                partition_patches(v, 1))
+    assert np.array_equal(alpha.data, np.array([[1.0]]))
+    assert np.array_equal(out.data, partition_patches(v, 1).data)
 
 
 def test_uniform_keys_average_the_values():
@@ -91,18 +126,17 @@ def test_uniform_keys_average_the_values():
     frame = rng.normal(size=(1, 2, 4, 4))
     k = T.tensor(np.broadcast_to(frame, (4, 2, 4, 4)).copy(), dtype=np.float64)
     q, _, v = rand_qkv(2, 4, 2, 4, 4)
-    rec = []
-    out = head_attention(partition_patches(q, 1), partition_patches(k, 1),
-                         partition_patches(v, 1), record=rec)
-    assert np.allclose(rec[0].alpha, 0.25)
-    want = partition_patches(v, 1).tokens.data.mean(axis=0)
-    assert np.allclose(out.tokens.data, np.broadcast_to(want, out.tokens.shape), atol=1e-12)
+    out, alpha = head_attention(partition_patches(q, 1), partition_patches(k, 1),
+                                partition_patches(v, 1))
+    assert np.allclose(alpha.data, 0.25)
+    want = partition_patches(v, 1).data.mean(axis=0)
+    assert np.allclose(out.data, np.broadcast_to(want, out.shape), atol=1e-12)
 
 
 def test_head_attention_matches_double_loop_oracle():
     # one head over all channels: T=2, l=2, C=2, 4x4 maps
     q, k, v = rand_qkv(3, 2, 2, 4, 4)
-    got = multiscale_attention((q, k, v), ScaleConfig([2]))
+    got = multiscale_attention((q, k, v), (2,))
     want = multiscale_attention_naive(q.data, k.data, v.data, [2])
     assert np.allclose(got.data, want, atol=1e-6)
 
@@ -117,44 +151,40 @@ def test_head_attention_rejects_mismatched_token_sets():
 # -------------------------------------------------------------- reassembly
 
 def test_reassemble_single_full_frame_head_is_identity():
+    # one full-frame head: the module's output is that head's attended
+    # tokens put back in place, with no concat
     q, k, v = rand_qkv(5, 2, 3, 4, 4)
-    att = head_attention(partition_patches(q, 1), partition_patches(k, 1),
-                         partition_patches(v, 1))
-    assert np.array_equal(reassemble_and_concat([att]).data,
-                          unpartition_patches(att).data)
+    att, _ = head_attention(partition_patches(q, 1), partition_patches(k, 1),
+                            partition_patches(v, 1))
+    assert np.array_equal(multiscale_attention((q, k, v), (1,)).data,
+                          unpartition_patches(att, v.shape, 1).data)
 
 
 def test_reassemble_concatenates_channels():
-    rng = np.random.default_rng(6)
-    heads = [partition_patches(rand_map(rng, 2, 6, 4, 4), l) for l in (1, 2)]
-    out = reassemble_and_concat(heads)
+    # head i fills channel slice i of the output
+    q, k, v = rand_qkv(6, 2, 12, 4, 4)
+    out = multiscale_attention((q, k, v), (1, 2))
     assert out.shape == (2, 12, 4, 4)
+    for i, l in enumerate((1, 2)):
+        part = [T.tensor(m.data[:, 6 * i:6 * (i + 1)], dtype=np.float64) for m in (q, k, v)]
+        assert np.array_equal(out.data[:, 6 * i:6 * (i + 1)],
+                              multiscale_attention(tuple(part), (l,)).data)
 
 
 def test_identity_attention_round_trip_bitwise():
     # partition -> alpha = I -> reassemble reproduces the value map exactly
     rng = np.random.default_rng(7)
     v = rand_map(rng, 2, 3, 4, 4)
-    ps = partition_patches(v, 2)
-    attended = T.matmul(T.tensor(np.eye(ps.count), dtype=np.float64), ps.tokens)
-    att = HeadPatchSet(attended, frames=ps.frames, scale=ps.scale, channels=ps.channels,
-                       cell_h=ps.cell_h, cell_w=ps.cell_w)
-    assert np.array_equal(reassemble_and_concat([att]).data, v.data)
-
-
-def test_reassemble_rejects_inconsistent_heads():
-    rng = np.random.default_rng(8)
-    a = partition_patches(rand_map(rng, 2, 2, 4, 4), 1)
-    b = partition_patches(rand_map(rng, 2, 2, 8, 8), 2)
-    with pytest.raises(ShapeError):
-        reassemble_and_concat([a, b])
+    tokens = partition_patches(v, 2)
+    attended = T.matmul(T.tensor(np.eye(tokens.shape[-2]), dtype=np.float64), tokens)
+    assert np.array_equal(unpartition_patches(attended, v.shape, 2).data, v.data)
 
 
 # ------------------------------------------------------------- full module
 
 def test_degenerate_single_token_module_returns_value_map():
     q, k, v = rand_qkv(9, 1, 4, 4, 4)
-    out = multiscale_attention((q, k, v), ScaleConfig([1]))
+    out = multiscale_attention((q, k, v), (1,))
     assert np.array_equal(out.data, v.data)
 
 
@@ -162,15 +192,16 @@ def test_table_scale_pair_token_counts_and_shape():
     # scales [1, 2] on 8 frames of 28x28 maps: head token counts 8 and 32
     q, k, v = rand_qkv(10, 8, 12, 28, 28)
     recs = []
-    out = multiscale_attention((q, k, v), ScaleConfig([1, 2]), records=recs)
+    out = multiscale_attention((q, k, v), (1, 2), records=recs)
     assert out.shape == (8, 12, 28, 28)
     assert [r.alpha.shape for r in recs] == [(8, 8), (32, 32)]
     assert [r.scale for r in recs] == [1, 2]
+    assert [(r.map_h, r.map_w) for r in recs] == [(28, 28), (28, 28)]
 
 
 def test_three_scale_output_matches_oracle():
     q, k, v = rand_qkv(11, 2, 12, 4, 4)
-    got = multiscale_attention((q, k, v), ScaleConfig([1, 2, 4]))
+    got = multiscale_attention((q, k, v), (1, 2, 4))
     want = multiscale_attention_naive(q.data, k.data, v.data, [1, 2, 4])
     assert got.shape == (2, 12, 4, 4)
     assert np.allclose(got.data, want, atol=1e-6)
@@ -186,7 +217,7 @@ def test_oracle_equivalence_grid(t, scales):
     seed = 100 * t + sum(scales)
     c = 6 * len(scales) if len(scales) == 3 else 6
     q, k, v = rand_qkv(seed, t, c, 4, 4)
-    got = multiscale_attention((q, k, v), ScaleConfig(scales))
+    got = multiscale_attention((q, k, v), tuple(scales))
     want = multiscale_attention_naive(q.data, k.data, v.data, scales)
     assert np.allclose(got.data, want, atol=1e-6)
 
@@ -194,34 +225,22 @@ def test_oracle_equivalence_grid(t, scales):
 def test_serial_equals_per_head_schedule_bitwise():
     # heads are independent; assembling them one by one matches the fused path
     q, k, v = rand_qkv(12, 2, 6, 4, 4)
-    cfg = ScaleConfig([1, 2])
-    fused = multiscale_attention((q, k, v), cfg)
+    scales = (1, 2)
+    fused = multiscale_attention((q, k, v), scales)
     parts = []
     qs, ks, vs = (T.split(m, 2, 1) for m in (q, k, v))
-    for i, l in enumerate(cfg.scales):
-        parts.append(head_attention(partition_patches(qs[i], l),
-                                    partition_patches(ks[i], l),
-                                    partition_patches(vs[i], l)))
-    assert np.array_equal(reassemble_and_concat(parts).data, fused.data)
+    for i, l in enumerate(scales):
+        att, _ = head_attention(partition_patches(qs[i], l), partition_patches(ks[i], l),
+                                partition_patches(vs[i], l))
+        parts.append(unpartition_patches(att, qs[i].shape, l))
+    assert np.array_equal(T.concat(parts, axis=1).data, fused.data)
 
 
 def test_module_rejects_mismatched_maps():
     q, k, v = rand_qkv(13, 2, 6, 4, 4)
     bad = T.tensor(np.zeros((2, 6, 8, 8)))
     with pytest.raises(ShapeError):
-        multiscale_attention((q, k, bad), ScaleConfig([1]))
-
-
-def test_scale_config_validation():
-    assert ScaleConfig([1, 2, 4]).head_count == 3
-    with pytest.raises(ValueError):
-        ScaleConfig([])
-    with pytest.raises(ValueError):
-        ScaleConfig([0])
-    with pytest.raises(ShapeError):
-        ScaleConfig([1, 2]).validate(7, 4, 4)      # channels not divisible
-    with pytest.raises(ShapeError):
-        ScaleConfig([4]).validate(4, 6, 6)         # extent not divisible
+        multiscale_attention((q, k, bad), (1,))
 
 
 # ----------------------------------------------------- invariants
@@ -233,7 +252,7 @@ def test_attention_rows_are_stochastic(seed, t, scales):
     c = 6 * len(scales) if len(scales) == 3 else 6
     q, k, v = rand_qkv(seed, t, c, 4, 4)
     recs = []
-    multiscale_attention((q, k, v), ScaleConfig(scales), records=recs)
+    multiscale_attention((q, k, v), tuple(scales), records=recs)
     assert len(recs) == len(scales)
     for r in recs:
         assert np.all(r.alpha >= 0)
@@ -241,8 +260,8 @@ def test_attention_rows_are_stochastic(seed, t, scales):
 
 
 def test_short_and_long_range_masks_partition_the_scores():
-    ps = partition_patches(T.tensor(np.zeros((2, 2, 4, 4))), 2)
-    same, cross = short_long_masks(ps.frame_of)
+    n = partition_patches(T.tensor(np.zeros((2, 2, 4, 4))), 2).shape[-2]
+    same, cross = short_long_masks(record_for(n, scale=2).frame_of)
     assert same.shape == (8, 8)
     assert np.all(same ^ cross)
     assert same.sum() == 2 * 4 * 4 and cross.sum() == 64 - 32
@@ -251,10 +270,9 @@ def test_short_and_long_range_masks_partition_the_scores():
 def test_frame_swap_equivariance_two_frames():
     # equal up to matmul reassociation (an ulp or two), hence the tight atol
     q, k, v = rand_qkv(14, 2, 6, 4, 4)
-    cfg = ScaleConfig([1])
-    out = multiscale_attention((q, k, v), cfg).data
+    out = multiscale_attention((q, k, v), (1,)).data
     flipped = [T.tensor(m.data[::-1], dtype=np.float64) for m in (q, k, v)]
-    out_flipped = multiscale_attention(tuple(flipped), cfg).data
+    out_flipped = multiscale_attention(tuple(flipped), (1,)).data
     assert np.allclose(out_flipped, out[::-1], atol=1e-14)
 
 
@@ -262,23 +280,17 @@ def test_frame_permutation_equivariance():
     rng = np.random.default_rng(15)
     q, k, v = rand_qkv(16, 4, 6, 4, 4)
     perm = rng.permutation(4)
-    cfg = ScaleConfig([1, 2])
-    out = multiscale_attention((q, k, v), cfg).data
+    out = multiscale_attention((q, k, v), (1, 2)).data
     permuted = [T.tensor(m.data[perm], dtype=np.float64) for m in (q, k, v)]
-    out_perm = multiscale_attention(tuple(permuted), cfg).data
+    out_perm = multiscale_attention(tuple(permuted), (1, 2)).data
     assert np.allclose(out_perm, out[perm], atol=1e-12)
 
 
 # ----------------------------------------------------------------- rollout
 
-def rollout_record(t=2, l=2, ch=2, alpha=None):
-    ps = partition_patches(T.tensor(np.zeros((t, ch, 4, 4))), l)
-    n = ps.count
-    if alpha is None:
-        alpha = np.full((n, n), 1.0 / n)
-    return AttentionRecord(layer=0, head=0, scale=l, alpha=alpha,
-                           frame_of=ps.frame_of, cell_of=ps.cell_of,
-                           map_h=4, map_w=4)
+def rollout_record(alpha=None):
+    # two frames of a 4x4 map at scale 2: 8 tokens of 2x2 cells
+    return record_for(8, scale=2, alpha=alpha)
 
 
 def test_uniform_attention_gives_flat_heat_map():

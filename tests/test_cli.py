@@ -168,8 +168,16 @@ def test_ablate_scales_covers_all_subsets(tmp_path):
 
 def test_selftest_passes(capsys):
     assert main(["selftest"]) == 0
-    out = capsys.readouterr().out
-    assert "ok" in out and "FAIL" not in out
+    assert capsys.readouterr().out.splitlines() == [
+        "ok - attention-row-stochasticity",
+        "ok - patch-count-grid",
+        "ok - partition-round-trip",
+        "ok - frame-permutation-invariance",
+        "ok - metric-recount",
+        "ok - training-determinism",
+        "ok - checkpoint-round-trip",
+        "ok - config-round-trip",
+    ]
 
 
 def test_dump_config_defaults(capsys):
@@ -287,7 +295,15 @@ def test_ablate_needs_at_least_one_seed(pipeline, tmp_path, capsys, axis, seeds)
     expect_error(["ablate", "--axis", axis, "--config", str(pipeline["cfg"]),
                   "--seeds", seeds, "--out", str(out)],
                  f"need at least one seed per cell, got {seeds}", capsys)
-    assert not (out / f"ablation_{axis}.csv").exists()
+    assert not out.exists()
+
+
+def test_ablate_rejects_a_bad_grid_value(pipeline, tmp_path, capsys):
+    out = tmp_path / "out"
+    expect_error(["ablate", "--axis", "clip-length", "--config", str(pipeline["cfg"]),
+                  "--grid", "1,x", "--out", str(out)],
+                 "--grid needs comma-separated clip lengths, got '1,x'", capsys)
+    assert not out.exists()
 
 
 def test_export_attention_range_checks(pipeline, tmp_path, capsys):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from padformer import tensor as T
-from padformer.config import RunConfig
+from padformer.config import ConfigError, RunConfig
 from padformer.embed import VideoClip
 from padformer.harness import train_model
 from padformer.model import (ModelConfig, augment_frames, cross_entropy,
@@ -148,6 +148,23 @@ def test_config_validation():
         ModelConfig(frames=0)
     with pytest.raises(ShapeError):
         ModelConfig(height=16, width=16, embed_stride=8, scales=(1, 4))
+
+
+def test_model_config_scale_checks():
+    assert ModelConfig(embed_channels=12, scales=[1, 2, 4]).scales == (1, 2, 4)
+    with pytest.raises(ValueError):
+        ModelConfig(scales=())
+    with pytest.raises(ValueError):
+        ModelConfig(scales=(0,))
+    with pytest.raises(ShapeError):
+        ModelConfig(embed_channels=7, scales=(1, 2))     # channels not divisible
+    with pytest.raises(ShapeError):
+        ModelConfig(height=48, width=48, scales=(4,))     # 6x6 map, extent not divisible
+
+
+def test_run_config_reports_a_bad_scale_as_config_error():
+    with pytest.raises(ConfigError, match="channels not divisible across 2 heads"):
+        RunConfig(embed_channels=7, scales=(1, 2))
 
 
 # ---------------------------------------------------------------- inventory
