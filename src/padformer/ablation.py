@@ -34,16 +34,19 @@ def _run_grid(cfg: RunConfig, cells, n_seeds: int):
     (label, mean_acer, per_seed_acers) rows in grid order."""
     if n_seeds < 1:
         raise ValueError(f"need at least one seed per cell, got {n_seeds}")
+    seeds = range(cfg.seed, cfg.seed + n_seeds)
+    # every cell's config is built, and so checked, before the first one trains
+    grid = [(label, [replace(cfg, seed=seed, **overrides) for seed in seeds])
+            for label, overrides in cells]
     datasets = {}
     rows = []
-    for label, overrides in cells:
+    for label, cell_cfgs in grid:
         acers = []
-        for k in range(n_seeds):
-            seed = cfg.seed + k
+        for cell_cfg in cell_cfgs:
+            seed = cell_cfg.seed
             if seed not in datasets:
                 datasets[seed] = generate_dataset(
                     replace(cfg, seed=seed).synth_spec())
-            cell_cfg = replace(cfg, seed=seed, **overrides)
             acers.append(_cell_acer(cell_cfg, datasets[seed]))
         rows.append((label, float(np.mean(acers)), acers))
     return rows

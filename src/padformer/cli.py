@@ -41,7 +41,8 @@ def write_pgm(path, img: np.ndarray):
         fh.write(scaled.tobytes())
 
 
-def _load_run_config(args, **overrides) -> RunConfig:
+def _load_run_config(args) -> RunConfig:
+    overrides = {}
     if getattr(args, "seed", None) is not None:
         overrides["seed"] = args.seed
     if getattr(args, "steps", None) is not None:
@@ -108,6 +109,10 @@ def cmd_export_attention(args) -> int:
     ckpt = Path(args.checkpoint)
     cfg = _checkpoint_config(ckpt)
     mcfg = cfg.model_config()
+    if not 0 <= args.layer < cfg.depth:
+        raise ValueError(f"layer {args.layer} out of range for depth {cfg.depth}")
+    if not 0 <= args.head < len(cfg.scales):
+        raise ValueError(f"head {args.head} out of range for {len(cfg.scales)} heads")
     params = load_checkpoint(ckpt, mcfg)
     records = load_store(_data_dir(args, cfg))
     if args.clip:
@@ -117,10 +122,6 @@ def cmd_export_attention(args) -> int:
         record = matches[0]
     else:
         record = split_records(records, "test")[0]
-    if not 0 <= args.layer < cfg.depth:
-        raise ValueError(f"layer {args.layer} out of range for depth {cfg.depth}")
-    if not 0 <= args.head < len(cfg.scales):
-        raise ValueError(f"head {args.head} out of range for {len(cfg.scales)} heads")
 
     clip = sample_frames(record.frames, mcfg.frames, "uniform",
                          label=record.label, clip_id=record.clip_id)

@@ -54,7 +54,7 @@ def _project(self, cls):
 # the optimization, path and seed keys follow. Field order is dump order.
 RunConfig = dataclasses.make_dataclass(
     "RunConfig",
-    _shared_fields(ModelConfig, ("num_classes", "seed"))
+    _shared_fields(ModelConfig, ("seed",))
     + _shared_fields(SynthSpec, ("height", "width", "seed"))
     + [("lr", float, 0.001),
        ("beta1", float, 0.9),

@@ -14,7 +14,7 @@ import csv
 from dataclasses import dataclass
 from pathlib import Path
 
-from .model import ModelConfig
+from .model import NUM_CLASSES, ModelConfig
 
 FLOP_CONVENTION = "flops = 2 * multiply-accumulates; activations 1/element"
 
@@ -66,7 +66,7 @@ def _conv_cost(cout, cin, kh, kw, out_h, out_w, frames):
 
 def count_cost(cfg: ModelConfig) -> CostReport:
     """Per-clip cost of one forward pass under the declared config."""
-    t, c, k = cfg.frames, cfg.embed_channels, cfg.num_classes
+    t, c, k = cfg.frames, cfg.embed_channels, NUM_CLASSES
     mh, mw = cfg.map_h, cfg.map_w
     hid = cfg.ffn_ratio * c
     elems = t * c * mh * mw

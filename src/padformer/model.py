@@ -27,6 +27,7 @@ from .rng import stream
 from .tensor import AdamState, ShapeError, Tensor, adam_step
 
 INIT_STD = 0.02
+NUM_CLASSES = 2                 # attack / bona fide
 
 
 @dataclass(frozen=True)
@@ -39,7 +40,6 @@ class ModelConfig:
     scales: tuple = (1, 2)
     depth: int = 2
     ffn_ratio: int = 4
-    num_classes: int = 2
     seed: int = 0
 
     def __post_init__(self):
@@ -50,8 +50,6 @@ class ModelConfig:
             raise ValueError(f"depth must be >= 0, got {self.depth}")
         if self.ffn_ratio < 1:
             raise ValueError(f"ffn_ratio must be >= 1, got {self.ffn_ratio}")
-        if self.num_classes != 2:
-            raise ValueError("the task is binary; num_classes must be 2")
         if self.height % self.embed_stride or self.width % self.embed_stride:
             raise ValueError(
                 f"frame extent {self.height}x{self.width} not divisible by "
@@ -93,8 +91,8 @@ def parameter_shapes(cfg: ModelConfig) -> dict:
         shapes[f"layers.{i}.ffn1.bias"] = (hid,)
         shapes[f"layers.{i}.ffn2.weight"] = (c, hid, 1, 1)
         shapes[f"layers.{i}.ffn2.bias"] = (c,)
-    shapes["head.weight"] = (c, cfg.num_classes)
-    shapes["head.bias"] = (cfg.num_classes,)
+    shapes["head.weight"] = (c, NUM_CLASSES)
+    shapes["head.bias"] = (NUM_CLASSES,)
     return shapes
 
 
@@ -120,8 +118,8 @@ def param_count(params: dict) -> int:
 
 
 def forward(clip, params: dict, cfg: ModelConfig, records: list | None = None) -> Tensor:
-    """Logits [num_classes] for one clip (a VideoClip or [T, 3, H, W]), or
-    [B, num_classes] for a batch [B, T, 3, H, W]; appends per-head, per-clip
+    """Logits [2] for one clip (a VideoClip or [T, 3, H, W]), or
+    [B, 2] for a batch [B, T, 3, H, W]; appends per-head, per-clip
     attention weights to ``records`` when a list is supplied."""
     frames = np.asarray(clip.frames if isinstance(clip, VideoClip) else clip,
                         dtype=params["embed.weight"].dtype)
@@ -147,7 +145,7 @@ def forward(clip, params: dict, cfg: ModelConfig, records: list | None = None) -
         x = tt.add(f, y)
     pooled = tt.mean(x, (1, 3, 4))                   # [B, C]
     logits = tt.add(tt.matmul(pooled, params["head.weight"]), params["head.bias"])
-    return tt.reshape(logits, (cfg.num_classes,)) if single else logits
+    return tt.reshape(logits, (NUM_CLASSES,)) if single else logits
 
 
 def cross_entropy(logits: Tensor, labels) -> Tensor:

@@ -24,7 +24,7 @@ from scipy.special import erf
 
 __all__ = [
     "Tensor", "Tape", "ShapeError", "tensor", "param", "record", "backward",
-    "add", "mul", "scale", "gelu", "matmul", "conv2d",
+    "add", "scale", "gelu", "matmul", "conv2d",
     "softmax", "layer_norm", "reshape", "transpose", "concat", "split",
     "mean", "AdamState", "adam_step",
 ]
@@ -93,19 +93,12 @@ class Tensor:
         return self.data.shape
 
     @property
-    def ndim(self):
-        return self.data.ndim
-
-    @property
     def dtype(self):
         return self.data.dtype
 
     @property
     def size(self):
         return self.data.size
-
-    def zero_grad(self):
-        self.grad = None
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype.name}, leaf={self.requires_grad})"
@@ -116,12 +109,9 @@ def tensor(data, dtype=np.float32) -> Tensor:
     return Tensor(np.asarray(data, dtype=dtype))
 
 
-def param(data, dtype=None) -> Tensor:
+def param(data) -> Tensor:
     """Wrap array-like data as a trainable leaf tensor."""
-    arr = np.asarray(data)
-    if dtype is not None:
-        arr = arr.astype(dtype)
-    return Tensor(arr, requires_grad=True)
+    return Tensor(np.asarray(data), requires_grad=True)
 
 
 class _Node:
@@ -145,11 +135,11 @@ class Tape:
         self.nodes = []
 
     def __enter__(self):
-        _state().stack.append(self)
+        _STATE.stack.append(self)
         return self
 
     def __exit__(self, *exc):
-        _state().stack.pop()
+        _STATE.stack.pop()
         # Tensor.node -> _Node.out -> Tensor is a reference cycle; cutting it
         # lets reference counting free the graph here instead of waiting for
         # the cyclic collector, which runs rarely on a batched step.
@@ -167,12 +157,8 @@ class _TapeState(threading.local):
 _STATE = _TapeState()
 
 
-def _state() -> _TapeState:
-    return _STATE
-
-
 def _active_tape():
-    stack = _state().stack
+    stack = _STATE.stack
     return stack[-1] if stack else None
 
 
@@ -197,12 +183,8 @@ def record(out_data: np.ndarray, parents, backward_fn) -> Tensor:
     return out
 
 
-def backward(loss: Tensor) -> dict:
-    """Accumulate d(loss)/d(leaf) for every reachable leaf tensor.
-
-    Returns a map from leaf Tensor to its gradient array for this call;
-    repeated calls without ``zero_grad`` accumulate into ``Tensor.grad``.
-    """
+def backward(loss: Tensor) -> None:
+    """Accumulate d(loss)/d(leaf) into the ``grad`` of every reachable leaf."""
     if loss.data.size != 1:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.data.shape}")
     tape = _active_tape()
@@ -226,20 +208,12 @@ def backward(loss: Tensor) -> dict:
             if parent.requires_grad and parent.node is None:
                 leaves[key] = parent
 
-    result = {}
     for key, leaf in leaves.items():
         g = grads[key]
         if leaf.grad is None:
             leaf.grad = g.copy()
         else:
             leaf.grad += g
-        result[leaf] = g
-    return result
-
-
-def _check_same_shape(a: Tensor, b: Tensor, op: str):
-    if a.data.shape != b.data.shape:
-        raise ShapeError(f"{op}: shapes {a.data.shape} and {b.data.shape} differ")
 
 
 # ---------------------------------------------------------------------------
@@ -255,12 +229,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     if lead == 0:
         return record(a.data + b.data, (a, b), lambda g: (g, g))
     return record(a.data + b.data, (a, b), lambda g: (g, g.sum(axis=tuple(range(lead)))))
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape(a, b, "mul")
-    ad, bd = a.data, b.data
-    return record(ad * bd, (a, b), lambda g: (g * bd, g * ad))
 
 
 def scale(x: Tensor, s: float) -> Tensor:

@@ -1,6 +1,16 @@
-"""Central finite-difference gradient oracle, independent of the tape."""
+"""Central finite-difference gradient oracle, independent of the tape, and
+the projection that reduces a primitive's output to a scalar loss."""
 
 import numpy as np
+
+from padformer import tensor as T
+
+
+def scalarize(out, proj):
+    """Reduce a tensor to a scalar through a fixed projection: [1, n] @ [n, 1]."""
+    n = out.size
+    col = T.tensor(np.reshape(proj, (n, 1)), dtype=np.float64)
+    return T.reshape(T.matmul(T.reshape(out, (1, n)), col), ())
 
 
 def numeric_grad(fwd, arr, h=1e-5):

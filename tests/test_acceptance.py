@@ -25,7 +25,7 @@ from padformer.model import (ModelConfig, cross_entropy, forward, init_params,
                              param_count)
 from padformer.synth import generate_dataset, split_records
 
-from gradcheck import assert_grad_close, numeric_grad
+from gradcheck import assert_grad_close, numeric_grad, scalarize
 from oracles import metrics_recount, multiscale_attention_naive
 
 CHECK_CONFIG = ModelConfig(frames=2, height=16, width=16, embed_stride=8,
@@ -40,11 +40,6 @@ def report(capsys, num, ok, detail):
 
 # ---------------------------------------------------------------------------
 # criterion 1: finite-difference gradient suite (primitives + end-to-end)
-
-def _scalarize(out, proj):
-    flat = T.reshape(out, (out.size,))
-    return T.mean(T.mul(flat, T.tensor(proj, dtype=np.float64)), axes=(0,))
-
 
 def _fd_check(build, arrays, rtol):
     tensors = [T.param(a) for a in arrays]
@@ -68,36 +63,35 @@ def test_criterion_1_gradient_suite(capsys):
     p3, p6, p8, p12, p15, p16, p96, p192 = (
         r(n) for n in (3, 6, 8, 12, 15, 16, 96, 192))
     cases = [
-        ("add", lambda a, b: _scalarize(T.add(a, b), p6), [r(2, 3), r(2, 3)]),
-        ("add bias broadcast", lambda a, b: _scalarize(T.add(a, b), p12),
+        ("add", lambda a, b: scalarize(T.add(a, b), p6), [r(2, 3), r(2, 3)]),
+        ("add bias broadcast", lambda a, b: scalarize(T.add(a, b), p12),
          [r(2, 2, 3), r(3)]),
-        ("mul", lambda a, b: _scalarize(T.mul(a, b), p6), [r(2, 3), r(2, 3)]),
-        ("scale", lambda a: _scalarize(T.scale(a, -1.7), p6), [r(2, 3)]),
-        ("gelu", lambda a: _scalarize(T.gelu(a), p6), [r(2, 3)]),
-        ("matmul", lambda a, b: _scalarize(T.matmul(a, b), p6),
+        ("scale", lambda a: scalarize(T.scale(a, -1.7), p6), [r(2, 3)]),
+        ("gelu", lambda a: scalarize(T.gelu(a), p6), [r(2, 3)]),
+        ("matmul", lambda a, b: scalarize(T.matmul(a, b), p6),
          [r(3, 4), r(4, 2)]),
-        ("matmul batched", lambda a, b: _scalarize(T.matmul(a, b), p12),
+        ("matmul batched", lambda a, b: scalarize(T.matmul(a, b), p12),
          [r(2, 3, 4), r(2, 4, 2)]),
-        ("conv2d 3x3 s1 p1", lambda x, w, b: _scalarize(
+        ("conv2d 3x3 s1 p1", lambda x, w, b: scalarize(
             T.conv2d(x, w, b, stride=1, pad=1), p96),
          [r(2, 2, 4, 4), r(3, 2, 3, 3), r(3)]),
-        ("conv2d patchify", lambda x, w, b: _scalarize(
+        ("conv2d patchify", lambda x, w, b: scalarize(
             T.conv2d(x, w, b, stride=2, pad=0), p16),
          [r(2, 3, 4, 4), r(2, 3, 2, 2), r(2)]),
-        ("conv2d [B, T] batch", lambda x, w, b: _scalarize(
+        ("conv2d [B, T] batch", lambda x, w, b: scalarize(
             T.conv2d(x, w, b, stride=1, pad=1), p192),
          [r(2, 2, 2, 4, 4), r(3, 2, 3, 3), r(3)]),
-        ("softmax", lambda a: _scalarize(T.softmax(a, axis=1), p15),
+        ("softmax", lambda a: scalarize(T.softmax(a, axis=1), p15),
          [r(3, 5)]),
-        ("layer_norm", lambda x, g, b: _scalarize(
+        ("layer_norm", lambda x, g, b: scalarize(
             T.layer_norm(x, 1, g, b), p12), [r(3, 4), r(4), r(4)]),
-        ("reshape", lambda a: _scalarize(T.reshape(a, (3, 2)), p6), [r(2, 3)]),
-        ("transpose", lambda a: _scalarize(T.transpose(a, (2, 0, 1)), p8),
+        ("reshape", lambda a: scalarize(T.reshape(a, (3, 2)), p6), [r(2, 3)]),
+        ("transpose", lambda a: scalarize(T.transpose(a, (2, 0, 1)), p8),
          [r(2, 2, 2)]),
-        ("concat", lambda a, b: _scalarize(T.concat([a, b], axis=1), p16),
+        ("concat", lambda a, b: scalarize(T.concat([a, b], axis=1), p16),
          [r(2, 3), r(2, 5)]),
-        ("split", lambda a: _scalarize(T.split(a, 2, 1)[1], p6), [r(2, 6)]),
-        ("mean", lambda a: _scalarize(T.mean(a, axes=(0, 2)), p3),
+        ("split", lambda a: scalarize(T.split(a, 2, 1)[1], p6), [r(2, 6)]),
+        ("mean", lambda a: scalarize(T.mean(a, axes=(0, 2)), p3),
          [r(2, 3, 4)]),
         ("cross_entropy", lambda z: cross_entropy(z, 1), [r(2)]),
         ("cross_entropy batch", lambda z: cross_entropy(z, [1, 0, 1]), [r(3, 2)]),

@@ -306,6 +306,27 @@ def test_ablate_rejects_a_bad_grid_value(pipeline, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_ablate_checks_every_cell_before_training(pipeline, tmp_path, capsys, monkeypatch):
+    def no_training(*args, **kwargs):
+        raise AssertionError("a cell trained before the grid was checked")
+
+    monkeypatch.setattr("padformer.ablation.train_model", no_training)
+    out = tmp_path / "out"
+    expect_error(["ablate", "--axis", "clip-length", "--config", str(pipeline["cfg"]),
+                  "--grid", "2,0", "--seeds", "1", "--out", str(out)],
+                 "need at least one frame, got 0", capsys)
+    assert not out.exists()
+
+
+def test_export_attention_checks_the_head_before_reading_the_store(pipeline, tmp_path,
+                                                                   capsys):
+    out = tmp_path / "m"
+    expect_error(["export-attention", "--checkpoint", str(pipeline["checkpoint"]),
+                  "--data", str(tmp_path / "no-store"), "--head", "9", "--out", str(out)],
+                 "head 9 out of range for 2 heads", capsys)
+    assert not out.exists()
+
+
 def test_export_attention_range_checks(pipeline, tmp_path, capsys):
     base = ["export-attention", "--checkpoint", str(pipeline["checkpoint"]),
             "--data", str(pipeline["data"]), "--out", str(tmp_path / "m")]

@@ -39,12 +39,10 @@ def test_training_pass_keeps_the_params_dtype(shape, batch, dtype, monkeypatch):
     monkeypatch.setattr(T, "record", spy)
     with T.Tape():
         logits = forward(frames_for(cfg, batch, dtype), params, cfg)
-        grads = T.backward(cross_entropy(logits, [0, 1][:batch or 1]))
+        T.backward(cross_entropy(logits, [0, 1][:batch or 1]))
     assert seen and all(got == dtype for _, got in seen), \
         [op for op, got in seen if got != dtype]
-    assert len(grads) == len(params)
-    assert all(g.dtype == dtype for g in grads.values())
-    assert all(p.grad.dtype == dtype for p in params.values())
+    assert all(p.grad is not None and p.grad.dtype == dtype for p in params.values())
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
@@ -76,6 +74,6 @@ def test_gelu_keeps_float32():
     x = T.param(np.linspace(-3.0, 3.0, 7, dtype=np.float32))
     with T.Tape():
         y = T.gelu(x)
-        grads = T.backward(T.mean(y, (0,)))
+        T.backward(T.mean(y, (0,)))
     assert y.data.dtype == np.float32
-    assert grads[x].dtype == np.float32
+    assert x.grad.dtype == np.float32

@@ -8,7 +8,8 @@ from padformer import tensor as T
 from padformer.embed import VideoClip, conv_ffn, conv_project, conv_token_embed
 
 from oracles import conv2d_naive
-from test_gradients import check, scalarize
+from gradcheck import scalarize
+from test_gradients import check
 
 
 def identity_kernel(c, k, dtype=np.float32):

@@ -4,15 +4,9 @@ import numpy as np
 import pytest
 
 from padformer import tensor as T
-from gradcheck import numeric_grad, assert_grad_close
+from gradcheck import numeric_grad, assert_grad_close, scalarize
 
 RTOL = 1e-4
-
-
-def scalarize(out, proj):
-    """Reduce a tensor to a scalar through a fixed random projection."""
-    flat = T.reshape(out, (out.size,))
-    return T.mean(T.mul(flat, T.tensor(proj, dtype=np.float64)), axes=(0,))
 
 
 def check(build, arrays, rtol=RTOL):
@@ -132,7 +126,7 @@ def test_elementwise_and_shape_op_grads(seed):
     proj = rand(rng, 24)
 
     def build(x, y):
-        s = T.add(T.mul(x, y), T.scale(y, 0.7))
+        s = T.add(T.gelu(x), T.scale(y, 0.7))
         s = T.transpose(s, (1, 0, 2))
         s = T.reshape(s, (3, 8))
         parts = T.split(s, 2, axis=1)
@@ -151,8 +145,10 @@ def test_mean_grad(seed):
 
 
 def test_grad_through_fanout():
-    # one tensor consumed by two branches accumulates both contributions
+    # one tensor as both operands of a matmul and the input of a second
+    # branch: both operand gradients and the branch accumulate into it
     rng = np.random.default_rng(8)
-    x = rand(rng, 3)
-    proj = rand(rng, 3)
-    check(lambda xx: scalarize(T.add(T.mul(xx, xx), T.scale(xx, 2.0)), proj), [x])
+    x = rand(rng, 2, 2)
+    proj = rand(rng, 8)
+    check(lambda xx: scalarize(
+        T.concat([T.matmul(xx, xx), T.scale(xx, 2.0)], axis=0), proj), [x])

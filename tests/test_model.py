@@ -143,8 +143,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ModelConfig(height=20, embed_stride=8)
     with pytest.raises(ValueError):
-        ModelConfig(num_classes=3)
-    with pytest.raises(ValueError):
         ModelConfig(frames=0)
     with pytest.raises(ShapeError):
         ModelConfig(height=16, width=16, embed_stride=8, scales=(1, 4))
