@@ -1,10 +1,6 @@
 """Video transformer for presentation-attack detection, built from scratch.
 
-Subpackages: ``tensor`` (autodiff engine), ``embed`` (convolutional token
-embedding and Q/K/V projection), ``attention`` (multi-scale spatio-temporal
-self-attention), ``model`` (classifier, loss, training step), ``synth``
-(synthetic spoof-video generator), ``metrics`` (PAD error rates), ``costs``
-(FLOP/parameter accounting), ``cli`` (command-line harness).
+The "Layout" section of the README lists every module and what it holds.
 """
 
 __version__ = "0.1.0"

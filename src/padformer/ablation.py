@@ -52,13 +52,13 @@ def _run_grid(cfg: RunConfig, cells, n_seeds: int):
     return rows
 
 
-def ablation_scales(cfg: RunConfig, n_seeds: int = 3, subsets=SCALE_SUBSETS):
-    """One row per attention scale subset (seven by default)."""
-    cells = [(scales_label(sub), {"scales": tuple(sub)}) for sub in subsets]
+def ablation_scales(cfg: RunConfig, n_seeds: int):
+    """One row per attention scale subset in ``SCALE_SUBSETS``."""
+    cells = [(scales_label(sub), {"scales": sub}) for sub in SCALE_SUBSETS]
     return _run_grid(cfg, cells, n_seeds)
 
 
-def ablation_clip_length(cfg: RunConfig, grid=(1, 2, 4, 8), n_seeds: int = 3):
+def ablation_clip_length(cfg: RunConfig, grid, n_seeds: int):
     """One row per clip length T; the dataset and everything else is shared."""
     cells = [(f"T{int(t)}", {"frames": int(t)}) for t in grid]
     return _run_grid(cfg, cells, n_seeds)

@@ -25,7 +25,7 @@ from .harness import evaluate, format_log, train_model
 from .metrics import write_report_csv
 from .model import forward, load_checkpoint, sample_frames, save_checkpoint
 from .selftest import run_selftest
-from .synth import generate_dataset, load_store, split_records, write_store
+from .synth import SPLITS, generate_dataset, load_store, split_records, write_store
 from . import vpt
 
 
@@ -91,6 +91,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.split not in SPLITS:
+        raise ValueError(f"--split must be one of {', '.join(SPLITS)}, got {args.split!r}")
     ckpt = Path(args.checkpoint)
     cfg = _checkpoint_config(ckpt)
     mcfg = cfg.model_config()
@@ -157,13 +159,16 @@ def cmd_ablate(args) -> int:
         raise ValueError(f"unknown ablation axis {args.axis!r}")
     cfg = _load_run_config(args)
     if args.axis == "scales":
+        if args.grid is not None:
+            raise ValueError("--grid applies only to --axis clip-length")
         rows = ablation_scales(cfg, n_seeds=args.seeds)
     else:
+        grid_text = "1,2,4,8" if args.grid is None else args.grid
         try:
-            grid = tuple(int(t) for t in args.grid.split(","))
+            grid = tuple(int(t) for t in grid_text.split(","))
         except ValueError:
             raise ValueError(f"--grid needs comma-separated clip lengths, "
-                             f"got {args.grid!r}") from None
+                             f"got {grid_text!r}") from None
         rows = ablation_clip_length(cfg, grid=grid, n_seeds=args.seeds)
     out = Path(args.out or cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -234,8 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ablate", parents=[config],
                        help="grid experiments (scales or clip-length)")
     p.add_argument("--axis", required=True)
-    p.add_argument("--grid", default="1,2,4,8",
-                   help="clip lengths for --axis clip-length")
+    p.add_argument("--grid",
+                   help="clip lengths for --axis clip-length (default: 1,2,4,8)")
     p.add_argument("--seeds", type=int, default=3)
     p.add_argument("--out", help="output directory (default: config out_dir)")
     p.add_argument("--seed", type=int)

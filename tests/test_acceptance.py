@@ -8,6 +8,7 @@ real models for several minutes combined and carry the ``slow`` marker, so
 """
 
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from padformer import tensor as T
 from padformer.ablation import ablation_clip_length, ablation_scales
 from padformer.attention import (multiscale_attention, partition_patches,
                                  unpartition_patches)
-from padformer.config import RunConfig
+from padformer.config import RunConfig, load_config
 from padformer.costs import count_cost
 from padformer.embed import VideoClip
 from padformer.harness import evaluate, format_log, train_model
@@ -27,6 +28,9 @@ from padformer.synth import generate_dataset, split_records
 
 from gradcheck import assert_grad_close, numeric_grad, scalarize
 from oracles import metrics_recount, multiscale_attention_naive
+
+# the experiment configs that `padformer ablate --config` also runs
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 CHECK_CONFIG = ModelConfig(frames=2, height=16, width=16, embed_stride=8,
                            embed_channels=6, scales=(1, 2), depth=1, seed=3)
@@ -215,17 +219,10 @@ def test_criterion_5_synthetic_end_to_end(capsys):
 # ---------------------------------------------------------------------------
 # criterion 6: longer clips beat single frames on the temporal-cue data
 
-CLIP_LENGTH_CONFIG = RunConfig(
-    frames=8, height=16, width=16, embed_stride=8, embed_channels=6,
-    scales=(1, 2), depth=1, train_clips=48, dev_clips=32, test_clips=32,
-    source_frames=8, texture_amp=0.0, pulse_amp=0.15, noise_sigma=0.02,
-    steps=600, batch_size=8, lr=1e-3, seed=100)
-
-
 @pytest.mark.slow
 def test_criterion_6_clip_length_trend(capsys):
-    rows = ablation_clip_length(CLIP_LENGTH_CONFIG, grid=(1, 2, 4, 8),
-                                n_seeds=3)
+    rows = ablation_clip_length(load_config(CONFIGS / "clip-length.cfg"),
+                                grid=(1, 2, 4, 8), n_seeds=3)
     means = {label: mean for label, mean, _ in rows}
     gap = means["T1"] - means["T8"]
     detail = ", ".join(f"{label} {mean:.2f}" for label, mean, _ in rows)
@@ -237,16 +234,9 @@ def test_criterion_6_clip_length_trend(capsys):
 # ---------------------------------------------------------------------------
 # criterion 7: two scales match or beat the best single scale
 
-SCALES_CONFIG = RunConfig(
-    frames=4, height=32, width=32, embed_stride=8, embed_channels=12,
-    scales=(1, 2), depth=1, train_clips=48, dev_clips=32, test_clips=32,
-    source_frames=8, texture_amp=0.05, pulse_amp=0.15, noise_sigma=0.06,
-    steps=350, batch_size=8, lr=1e-3, seed=400)
-
-
 @pytest.mark.slow
 def test_criterion_7_scale_ablation_trend(capsys):
-    rows = ablation_scales(SCALES_CONFIG, n_seeds=3)
+    rows = ablation_scales(load_config(CONFIGS / "scales.cfg"), n_seeds=3)
     means = {label: mean for label, mean, _ in rows}
     best_single = min(means["1"], means["2"], means["4"])
     margin = means["1+2"] - best_single

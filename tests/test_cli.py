@@ -306,6 +306,27 @@ def test_ablate_rejects_a_bad_grid_value(pipeline, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_ablate_scales_rejects_a_grid(pipeline, tmp_path, capsys):
+    out = tmp_path / "out"
+    expect_error(["ablate", "--axis", "scales", "--config", str(pipeline["cfg"]),
+                  "--grid", "banana", "--seeds", "1", "--out", str(out)],
+                 "--grid applies only to --axis clip-length", capsys)
+    assert not out.exists()
+
+
+def test_ablate_clip_length_grid_defaults_to_1_2_4_8(pipeline, tmp_path, monkeypatch):
+    grids = []
+
+    def record_grid(cfg, grid, n_seeds):
+        grids.append(grid)
+        return []
+
+    monkeypatch.setattr("padformer.cli.ablation_clip_length", record_grid)
+    assert main(["ablate", "--axis", "clip-length", "--config", str(pipeline["cfg"]),
+                 "--out", str(tmp_path / "out")]) == 0
+    assert grids == [(1, 2, 4, 8)]
+
+
 def test_ablate_checks_every_cell_before_training(pipeline, tmp_path, capsys, monkeypatch):
     def no_training(*args, **kwargs):
         raise AssertionError("a cell trained before the grid was checked")
@@ -333,6 +354,15 @@ def test_export_attention_range_checks(pipeline, tmp_path, capsys):
     expect_error(base + ["--layer", "5"], "layer 5 out of range", capsys)
     expect_error(base + ["--head", "2"], "head 2 out of range", capsys)
     expect_error(base + ["--clip", "nope"], "no clip 'nope'", capsys)
+
+
+def test_eval_checks_the_split_before_reading_the_store(pipeline, tmp_path, capsys):
+    out = tmp_path / "report.csv"
+    expect_error(["eval", "--checkpoint", str(pipeline["checkpoint"]),
+                  "--data", str(tmp_path / "no-store"), "--split", "bogus",
+                  "--out", str(out)],
+                 "--split must be one of train, dev, test, got 'bogus'", capsys)
+    assert not out.exists()
 
 
 def test_eval_needs_both_classes_in_dev(pipeline, tmp_path, capsys):

@@ -1,6 +1,8 @@
 """Tests for the key=value run-configuration format."""
 
 import dataclasses
+import re
+from pathlib import Path
 
 import pytest
 
@@ -161,3 +163,24 @@ def test_load_config_reads_file(tmp_path):
     path.write_text("steps=3\nseed=4\n", encoding="utf-8")
     cfg = load_config(path, overrides={"seed": 5})
     assert cfg.steps == 3 and cfg.seed == 5
+
+
+# ---------------------------------------------------------------------------
+# the shipped experiment configs and the README that names them
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+def test_every_shipped_config_parses():
+    paths = sorted((REPO / "configs").glob("*.cfg"))
+    assert paths
+    for path in paths:
+        load_config(path)
+
+
+def test_readme_and_configs_dir_name_the_same_files():
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    named = set(re.findall(r"configs/([\w.-]*\w)", readme))
+    shipped = {p.name for p in (REPO / "configs").iterdir()}
+    assert named - shipped == set(), "README names configs that do not exist"
+    assert shipped - named == set(), "configs/ holds files the README does not name"
