@@ -6,9 +6,9 @@ token, and stacks the tokens of all T frames into a single sequence of
 N = T * l**2 patches. Attention therefore mixes same-frame pairs (short-range,
 spatial) and cross-frame pairs (long-range, temporal) inside one score matrix.
 Attended patches are placed back at their frame/grid positions and the heads
-are concatenated along channels. Maps are [T, C, H, W] for one clip or
-[B, T, C, H, W] for a batch; clips in a batch attend only within themselves,
-as one batched matmul per head.
+are concatenated along channels. Maps are channels-last, [T, H, W, C] for one
+clip or [B, T, H, W, C] for a batch; clips in a batch attend only within
+themselves, as one batched matmul per head.
 """
 
 from __future__ import annotations
@@ -47,28 +47,24 @@ class AttentionRecord:
         return np.stack([rem // self.scale, rem % self.scale], axis=1)
 
 
-def _batch_axes(lead: tuple, axes: tuple) -> tuple:
-    # a per-clip permutation, applied after the leading batch axes
-    return tuple(range(len(lead))) + tuple(len(lead) + a for a in axes)
-
-
 def partition_patches(f: Tensor, scale: int) -> Tensor:
-    """Split each frame of [T, C, H, W] (or [B, T, C, H, W]) into an l x l grid
-    of flattened tokens: [T * l * l, C * H/l * W/l] (or [B, ...]), in the
-    order of ``AttentionRecord.frame_of`` and ``cell_of``."""
-    lead, (t, c, h, w) = f.shape[:-4], f.shape[-4:]
+    """Split each frame of [T, H, W, C] (or [B, T, H, W, C]) into an l x l grid
+    of tokens flattened in (ph, pw, C) order: [T * l * l, H/l * W/l * C]
+    (or [B, ...]), in the order of ``AttentionRecord.frame_of`` and
+    ``cell_of``."""
+    *lead, t, h, w, c = f.shape
     ph, pw = h // scale, w // scale
-    g = tt.reshape(f, lead + (t, c, scale, ph, scale, pw))
-    g = tt.transpose(g, _batch_axes(lead, (0, 2, 4, 1, 3, 5)))   # [.., T, l, l, C, ph, pw]
-    return tt.reshape(g, lead + (t * scale * scale, c * ph * pw))
+    g = tt.reshape(f, (int(np.prod(lead)) * t, scale, ph, scale, pw, c))
+    g = tt.transpose(g, (0, 1, 3, 2, 4, 5))                     # [B*T, l, l, ph, pw, C]
+    return tt.reshape(g, tuple(lead) + (t * scale * scale, ph * pw * c))
 
 
 def unpartition_patches(tokens: Tensor, shape: tuple, scale: int) -> Tensor:
     """Place every token back at its frame/grid position in a map of ``shape``;
     inverse of partition."""
-    lead, (t, c, h, w) = shape[:-4], shape[-4:]
-    g = tt.reshape(tokens, lead + (t, scale, scale, c, h // scale, w // scale))
-    g = tt.transpose(g, _batch_axes(lead, (0, 3, 1, 4, 2, 5)))   # [.., T, C, l, ph, l, pw]
+    *lead, t, h, w, c = shape
+    g = tt.reshape(tokens, (int(np.prod(lead)) * t, scale, scale, h // scale, w // scale, c))
+    g = tt.transpose(g, (0, 1, 3, 2, 4, 5))                     # [B*T, l, ph, l, pw, C]
     return tt.reshape(g, shape)
 
 
@@ -79,7 +75,8 @@ def head_attention(q: Tensor, k: Tensor, v: Tensor) -> tuple:
     head, softmaxed per query row. Batched tokens ([B, N, D]) attend clip by
     clip in one batched matmul. Returns the attended tokens and the weights.
     """
-    kt = tt.transpose(k, _batch_axes(k.shape[:-2], (1, 0)))
+    n = len(k.shape)
+    kt = tt.transpose(k, tuple(range(n - 2)) + (n - 1, n - 2))
     scores = tt.scale(tt.matmul(q, kt), 1.0 / np.sqrt(q.shape[-1]))
     alpha = tt.softmax(scores, axis=-1)
     return tt.matmul(alpha, v), alpha
@@ -89,7 +86,7 @@ def multiscale_attention(qkv, scales, records: list | None = None,
                          layer: int = 0) -> Tensor:
     """Full multi-scale attention: split channels across heads, attend, reassemble.
 
-    ``qkv`` holds three [T, C, H, W] (or [B, T, C, H, W]) maps and ``scales``
+    ``qkv`` holds three [T, H, W, C] (or [B, T, H, W, C]) maps and ``scales``
     one grid divisor per head; the result has the maps' shape and is added
     residually by the caller. When ``records`` is given, one
     ``AttentionRecord`` per head and clip is appended to it.
@@ -98,7 +95,7 @@ def multiscale_attention(qkv, scales, records: list | None = None,
     if q.shape != k.shape or k.shape != v.shape:
         raise ShapeError(f"q/k/v maps disagree: {q.shape}, {k.shape}, {v.shape}")
     if len(scales) > 1:
-        qs, ks, vs = (tt.split(m, len(scales), -3) for m in (q, k, v))
+        qs, ks, vs = (tt.split(m, len(scales), -1) for m in (q, k, v))
     else:
         qs, ks, vs = [q], [k], [v]
     heads = []
@@ -111,10 +108,10 @@ def multiscale_attention(qkv, scales, records: list | None = None,
             n = alpha.shape[-1]
             records.extend(
                 AttentionRecord(layer=layer, head=i, scale=l, alpha=weights.copy(),
-                                map_h=q.shape[-2], map_w=q.shape[-1], clip=clip)
+                                map_h=q.shape[-3], map_w=q.shape[-2], clip=clip)
                 for clip, weights in enumerate(alpha.data.reshape(-1, n, n)))
     maps = [unpartition_patches(h, qs[0].shape, l) for h, l in zip(heads, scales)]
-    return maps[0] if len(maps) == 1 else tt.concat(maps, axis=-3)
+    return maps[0] if len(maps) == 1 else tt.concat(maps, axis=-1)
 
 
 def short_long_masks(frame_of: np.ndarray):

@@ -1,13 +1,13 @@
 """Convolutional tokenization of video frames and Q/K/V projection.
 
 A clip is tokenized per frame by a single non-overlapping convolution (kernel
-extent equal to its stride), producing a token map without any positional
-encoding. Q, K and V come from one shape-preserving 3x3 convolution with 3C
-outputs, split into three maps, and the transformer's feed-forward block is a
-pair of 1x1 convolutions. No operation here owns positional parameters. Maps
-may carry leading batch axes ([B, T, C, H, W] for B clips); the convolutions
-fold them into one batch. Kernel shapes are fixed by
-``model.parameter_shapes`` and checked where weights enter
+extent equal to its stride), run as a patchify matmul, producing a token map
+without any positional encoding. Q, K and V come from one shape-preserving
+3x3 convolution with 3C outputs, split into three maps, and the transformer's
+feed-forward block is a pair of 1x1 convolutions. No operation here owns
+positional parameters. Token maps are channels-last ([B, T, H, W, C] for B
+clips); the convolutions fold the leading axes into one batch. Kernel shapes
+are fixed by ``model.parameter_shapes`` and checked where weights enter
 (``load_checkpoint``), not here.
 """
 
@@ -36,10 +36,18 @@ class VideoClip:
             raise ShapeError("clip needs at least one frame")
 
 
-def conv_token_embed(frames: Tensor, w: Tensor, b: Tensor, stride: int) -> Tensor:
+def conv_token_embed(frames: np.ndarray, w: Tensor, b: Tensor, stride: int) -> Tensor:
     """Tokenize each frame with one non-overlapping convolution (kernel extent
-    equal to the stride); [..., T, 3, H, W] -> [..., T, C, H/stride, W/stride]."""
-    return tt.conv2d(frames, w, b, stride=stride, pad=0)
+    equal to the stride); [..., T, 3, H, W] pixels -> [..., T, H/s, W/s, C].
+    The constant frames are cut in numpy into (3, s, s) patches, the kernel's
+    order, and multiplied by the flattened kernel."""
+    lead, (cin, h, wid) = frames.shape[:-3], frames.shape[-3:]
+    s = stride
+    patches = frames.reshape(-1, cin, h // s, s, wid // s, s).transpose(0, 2, 4, 1, 3, 5)
+    cols = Tensor(patches.reshape(-1, cin * s * s))          # [N * H/s * W/s, 3*s*s]
+    wmat = tt.transpose(tt.reshape(w, (w.shape[0], cin * s * s)), (1, 0))
+    tokens = tt.add(tt.matmul(cols, wmat), b)
+    return tt.reshape(tokens, lead + (h // s, wid // s, w.shape[0]))
 
 
 def conv_project(x: Tensor, wq, bq, wk, bk, wv, bv) -> tuple:
@@ -47,16 +55,15 @@ def conv_project(x: Tensor, wq, bq, wk, bk, wv, bv) -> tuple:
 
     The kernels and biases are concatenated at forward time into one
     convolution with 3C outputs (one im2col copy and one GEMM), whose map is
-    split into q, k and v, each of the input shape. The parameters stay
-    three tensors, so the checkpoint keeps them apart; their gradients flow
-    back through ``concat``.
+    split on the channel axis into q, k and v, each of the input shape. The
+    parameters stay three tensors, so the checkpoint keeps them apart; their
+    gradients flow back through ``concat``.
     """
     w = tt.concat([wq, wk, wv], axis=0)
     b = tt.concat([bq, bk, bv], axis=0)
-    return tuple(tt.split(tt.conv2d(x, w, b, stride=1, pad=1), 3, axis=-3))
+    return tuple(tt.split(tt.conv2d(x, w, b, pad=1), 3, axis=-1))
 
 
 def conv_ffn(y: Tensor, w1, b1, w2, b2) -> Tensor:
     """Position-wise feed-forward as 1x1 conv -> GELU -> 1x1 conv."""
-    hidden = tt.conv2d(y, w1, b1, stride=1, pad=0)
-    return tt.conv2d(tt.gelu(hidden), w2, b2, stride=1, pad=0)
+    return tt.conv2d(tt.gelu(tt.conv2d(y, w1, b1)), w2, b2)

@@ -6,9 +6,9 @@ multi-scale attention with residual, channel norm, convolutional feed-forward
 with residual), mean-pooled over frames and space, and mapped linearly to two
 logits (attack / bona fide). No class token and no positional encoding; the
 convolutions carry all spatial structure, so logits are invariant to frame
-order. A batch of B clips [B, T, 3, H, W] runs as one graph: the
-convolutions fold B*T into their batch and each head attends clip by clip in
-one batched matmul; a single clip is the B=1 case.
+order. A batch of B clips [B, T, 3, H, W] runs as one graph whose activations
+stay channels-last, [B, T, H, W, C], from the embed to the pool; each head
+attends clip by clip in one batched matmul, and a single clip is B=1.
 """
 
 from __future__ import annotations
@@ -127,7 +127,7 @@ def forward(clip, params: dict, cfg: ModelConfig, records: list | None = None) -
     if frames.ndim not in (4, 5) or frames.shape[-4:] != want:
         raise ShapeError(f"clip shape {frames.shape} does not match config {want}")
     single = frames.ndim == 4
-    x = conv_token_embed(Tensor(frames.reshape((-1,) + want)), params["embed.weight"],
+    x = conv_token_embed(frames.reshape((-1,) + want), params["embed.weight"],
                          params["embed.bias"], cfg.embed_stride)
     for i in range(cfg.depth):
         qkv = conv_project(
@@ -137,13 +137,13 @@ def forward(clip, params: dict, cfg: ModelConfig, records: list | None = None) -
             params[f"layers.{i}.v.weight"], params[f"layers.{i}.v.bias"])
         h = multiscale_attention(qkv, cfg.scales, records=records, layer=i)
         y = tt.add(h, x)
-        normed = tt.layer_norm(y, 2, params[f"layers.{i}.norm.gamma"],
+        normed = tt.layer_norm(y, params[f"layers.{i}.norm.gamma"],
                                params[f"layers.{i}.norm.beta"])
         f = conv_ffn(normed,
                      params[f"layers.{i}.ffn1.weight"], params[f"layers.{i}.ffn1.bias"],
                      params[f"layers.{i}.ffn2.weight"], params[f"layers.{i}.ffn2.bias"])
         x = tt.add(f, y)
-    pooled = tt.mean(x, (1, 3, 4))                   # [B, C]
+    pooled = tt.mean(x, (1, 2, 3))                   # [B, C]
     logits = tt.add(tt.matmul(pooled, params["head.weight"]), params["head.bias"])
     return tt.reshape(logits, (NUM_CLASSES,)) if single else logits
 

@@ -18,8 +18,8 @@ from .tensor import AdamState
 
 def _check_attention_rows_stochastic():
     rng = np.random.default_rng(0)
-    q, k, v = (tt.tensor(rng.normal(size=(2, 6, 4, 4)), dtype=np.float64)
-               for _ in range(3))
+    q, k, v = (tt.tensor(rng.normal(size=(2, 6, 4, 4)).transpose(0, 2, 3, 1),
+                         dtype=np.float64) for _ in range(3))
     recs = []
     multiscale_attention((q, k, v), (1, 2), records=recs)
     for r in recs:
@@ -31,7 +31,7 @@ def _check_attention_rows_stochastic():
 def _check_patch_count():
     for t in (1, 2, 4, 8):
         for l in (1, 2, 4):
-            n = partition_patches(tt.tensor(np.zeros((t, 2, 8, 8))), l).shape[-2]
+            n = partition_patches(tt.tensor(np.zeros((t, 8, 8, 2))), l).shape[-2]
             if n != t * l * l:
                 return f"patch count {n} != {t * l * l} at T={t}, l={l}"
     return None
@@ -39,7 +39,7 @@ def _check_patch_count():
 
 def _check_partition_round_trip():
     rng = np.random.default_rng(1)
-    x = tt.tensor(rng.normal(size=(3, 2, 8, 8)))
+    x = tt.tensor(rng.normal(size=(3, 2, 8, 8)).transpose(0, 2, 3, 1))
     back = unpartition_patches(partition_patches(x, 2), x.shape, 2)
     if not np.array_equal(back.data, x.data):
         return "partition/unpartition round trip is not bitwise"

@@ -193,7 +193,9 @@ def load_store(path) -> list:
             if split not in SPLITS:
                 raise ValueError(f"{where}: split must be one of {', '.join(SPLITS)}, "
                                  f"got {split!r}")
-            records.append(ClipRecord(clip_id=clip_id,
-                                      frames=vpt.read_member(root, rel, where),
+            frames = vpt.read_member(root, rel, where)
+            if frames.ndim != 4 or frames.shape[1] != 3:
+                raise ValueError(f"{where}: clip must be [frames, 3, H, W], got {frames.shape}")
+            records.append(ClipRecord(clip_id=clip_id, frames=frames,
                                       label=int(label), split=split))
     return records

@@ -19,7 +19,7 @@ from padformer.attention import (multiscale_attention, partition_patches,
                                  unpartition_patches)
 from padformer.config import RunConfig, load_config
 from padformer.costs import count_cost
-from padformer.embed import VideoClip
+from padformer.embed import VideoClip, conv_token_embed
 from padformer.harness import evaluate, format_log, train_model
 from padformer.metrics import compute_metrics
 from padformer.model import (ModelConfig, cross_entropy, forward, init_params,
@@ -44,6 +44,11 @@ def report(capsys, num, ok, detail):
 
 # ---------------------------------------------------------------------------
 # criterion 1: finite-difference gradient suite (primitives + end-to-end)
+
+def _channels_last(a):
+    # [..., C, H, W] draws as the [..., H, W, C] maps the model runs on
+    return np.ascontiguousarray(np.moveaxis(a, -3, -1))
+
 
 def _fd_check(build, arrays, rtol):
     tensors = [T.param(a) for a in arrays]
@@ -77,18 +82,19 @@ def test_criterion_1_gradient_suite(capsys):
         ("matmul batched", lambda a, b: scalarize(T.matmul(a, b), p12),
          [r(2, 3, 4), r(2, 4, 2)]),
         ("conv2d 3x3 s1 p1", lambda x, w, b: scalarize(
-            T.conv2d(x, w, b, stride=1, pad=1), p96),
-         [r(2, 2, 4, 4), r(3, 2, 3, 3), r(3)]),
-        ("conv2d patchify", lambda x, w, b: scalarize(
-            T.conv2d(x, w, b, stride=2, pad=0), p16),
-         [r(2, 3, 4, 4), r(2, 3, 2, 2), r(2)]),
+            T.conv2d(x, w, b, pad=1), p96),
+         [_channels_last(r(2, 2, 4, 4)), r(3, 2, 3, 3), r(3)]),
+        # the frames are constants: the weight and bias are checked
+        ("conv_token_embed patchify", lambda w, b, frames=r(2, 3, 4, 4): scalarize(
+            conv_token_embed(frames, w, b, 2), p16),
+         [r(2, 3, 2, 2), r(2)]),
         ("conv2d [B, T] batch", lambda x, w, b: scalarize(
-            T.conv2d(x, w, b, stride=1, pad=1), p192),
-         [r(2, 2, 2, 4, 4), r(3, 2, 3, 3), r(3)]),
+            T.conv2d(x, w, b, pad=1), p192),
+         [_channels_last(r(2, 2, 2, 4, 4)), r(3, 2, 3, 3), r(3)]),
         ("softmax", lambda a: scalarize(T.softmax(a, axis=1), p15),
          [r(3, 5)]),
         ("layer_norm", lambda x, g, b: scalarize(
-            T.layer_norm(x, 1, g, b), p12), [r(3, 4), r(4), r(4)]),
+            T.layer_norm(x, g, b), p12), [r(3, 4), r(4), r(4)]),
         ("reshape", lambda a: scalarize(T.reshape(a, (3, 2)), p6), [r(2, 3)]),
         ("transpose", lambda a: scalarize(T.transpose(a, (2, 0, 1)), p8),
          [r(2, 2, 2)]),
@@ -140,11 +146,12 @@ def test_criterion_2_attention_oracle(capsys):
         for scales in ([1], [2], [4], [1, 2], [1, 4], [2, 4], [1, 2, 4]):
             rng = np.random.default_rng(100 * t + sum(scales))
             c = 6 * len(scales) if len(scales) == 3 else 6
-            q, k, v = (T.tensor(rng.normal(size=(t, c, 4, 4)),
-                                dtype=np.float64) for _ in range(3))
-            got = multiscale_attention((q, k, v), tuple(scales))
-            want = multiscale_attention_naive(q.data, k.data, v.data, scales)
-            worst = max(worst, float(np.abs(got.data - want).max()))
+            q, k, v = (rng.normal(size=(t, c, 4, 4)) for _ in range(3))
+            got = multiscale_attention(
+                tuple(T.tensor(m.transpose(0, 2, 3, 1), dtype=np.float64) for m in (q, k, v)),
+                tuple(scales))
+            want = multiscale_attention_naive(q, k, v, scales)
+            worst = max(worst, float(np.abs(got.data.transpose(0, 3, 1, 2) - want).max()))
             count += 1
     dt = time.monotonic() - start
     report(capsys, 2, count >= 20 and worst <= 1e-6 and dt < 60.0,
@@ -161,10 +168,11 @@ def test_criterion_3_patch_accounting(capsys):
     ok = True
     for t in (1, 2, 4, 8):
         for l in (1, 2, 4):
-            f = T.tensor(rng.normal(size=(t, 2, 8, 8)))
+            f = T.tensor(rng.normal(size=(t, 2, 8, 8)).transpose(0, 2, 3, 1))
             ok = ok and partition_patches(f, l).shape[-2] == t * l * l
     eight = [partition_patches(
-        T.tensor(rng.normal(size=(8, 2, 8, 8))), l).shape[-2] for l in (1, 2, 4)]
+        T.tensor(rng.normal(size=(8, 2, 8, 8)).transpose(0, 2, 3, 1)), l).shape[-2]
+        for l in (1, 2, 4)]
     ok = ok and eight == [8, 32, 128]
     report(capsys, 3, ok,
            f"token count equals frames * scale^2 over the full grid; "
@@ -268,7 +276,7 @@ def test_criterion_8_invariance_suite(capsys):
     perm_err = float(np.abs(base - flip).max())
 
     # (c) partition / reassemble round-trip is bitwise
-    f = T.tensor(rng.normal(size=(2, 6, 8, 8)))
+    f = T.tensor(rng.normal(size=(2, 6, 8, 8)).transpose(0, 2, 3, 1))
     bitwise = all(
         unpartition_patches(partition_patches(f, l), f.shape, l).data.tobytes()
         == f.data.tobytes() for l in (1, 2, 4))

@@ -18,12 +18,20 @@ from oracles import multiscale_attention_naive
 
 
 def rand_map(rng, t, c, h, w):
-    return T.tensor(rng.normal(size=(t, c, h, w)), dtype=np.float64)
+    """A channels-last [T, H, W, C] map of a [T, C, H, W] normal draw."""
+    return T.tensor(rng.normal(size=(t, c, h, w)).transpose(0, 2, 3, 1), dtype=np.float64)
 
 
 def rand_qkv(seed, t, c, h, w):
     rng = np.random.default_rng(seed)
     return tuple(rand_map(rng, t, c, h, w) for _ in range(3))
+
+
+def naive(q, k, v, scales):
+    """The channels-first loop oracle, applied to channels-last maps."""
+    out = multiscale_attention_naive(*(m.data.transpose(0, 3, 1, 2) for m in (q, k, v)),
+                                     scales)
+    return out.transpose(0, 2, 3, 1)
 
 
 def record_for(n, scale, alpha=None):
@@ -38,12 +46,12 @@ def record_for(n, scale, alpha=None):
 @pytest.mark.parametrize("t", [1, 2, 4, 8])
 @pytest.mark.parametrize("l", [1, 2, 4])
 def test_patch_count_is_frames_times_scale_squared(t, l):
-    f = T.tensor(np.zeros((t, 2, 8, 8)))
+    f = T.tensor(np.zeros((t, 8, 8, 2)))
     assert partition_patches(f, l).shape == (t * l * l, 2 * (8 // l) * (8 // l))
 
 
 def test_patch_counts_for_eight_frames():
-    f = T.tensor(np.zeros((8, 3, 8, 8)))
+    f = T.tensor(np.zeros((8, 8, 8, 3)))
     assert partition_patches(f, 1).shape[-2] == 8
     assert partition_patches(f, 2).shape[-2] == 32
     assert partition_patches(f, 4).shape[-2] == 128
@@ -51,7 +59,7 @@ def test_patch_counts_for_eight_frames():
 
 def test_partition_order_and_bookkeeping():
     # frame-major then grid row then grid column
-    n = partition_patches(T.tensor(np.zeros((2, 1, 4, 4))), 2).shape[-2]
+    n = partition_patches(T.tensor(np.zeros((2, 4, 4, 1))), 2).shape[-2]
     rec = record_for(n, scale=2)
     assert rec.frame_of.tolist() == [0, 0, 0, 0, 1, 1, 1, 1]
     assert rec.cell_of[:4].tolist() == [[0, 0], [0, 1], [1, 0], [1, 1]]
@@ -59,12 +67,13 @@ def test_partition_order_and_bookkeeping():
 
 
 def test_partition_token_contents():
-    x = np.arange(2 * 1 * 4 * 4, dtype=np.float32).reshape(2, 1, 4, 4)
+    x = np.arange(2 * 4 * 4 * 2, dtype=np.float32).reshape(2, 4, 4, 2)
     tokens = partition_patches(T.tensor(x), 2).data
-    # token 1 is frame 0, grid cell (0, 1): rows 0..1, cols 2..3
-    assert np.array_equal(tokens[1], x[0, 0, 0:2, 2:4].reshape(-1))
+    # token 1 is frame 0, grid cell (0, 1): rows 0..1, cols 2..3, in
+    # (row, column, channel) order
+    assert np.array_equal(tokens[1], x[0, 0:2, 2:4, :].reshape(-1))
     # token 6 is frame 1, grid cell (1, 0)
-    assert np.array_equal(tokens[6], x[1, 0, 2:4, 0:2].reshape(-1))
+    assert np.array_equal(tokens[6], x[1, 2:4, 0:2, :].reshape(-1))
 
 
 @settings(max_examples=25, deadline=None)
@@ -77,7 +86,7 @@ def test_partition_order_matches_record_bookkeeping(seed, t, scale, channels, ce
     rng = np.random.default_rng(seed)
     side = scale * cell
     lead = () if batch is None else (batch,)
-    x = T.tensor(rng.normal(size=lead + (t, channels, side, side)), dtype=np.float64)
+    x = T.tensor(rng.normal(size=lead + (t, side, side, channels)), dtype=np.float64)
     tokens = partition_patches(x, scale).data
     recs = []
     multiscale_attention((x, x, x), (scale,), records=recs)
@@ -87,7 +96,7 @@ def test_partition_order_matches_record_bookkeeping(seed, t, scale, channels, ce
         clip_tokens = tokens if batch is None else tokens[r.clip]
         assert r.alpha.shape == (t * scale * scale,) * 2
         for i, (frame, (row, col)) in enumerate(zip(r.frame_of, r.cell_of)):
-            patch = clip_map[frame, :, row * cell:(row + 1) * cell,
+            patch = clip_map[frame, row * cell:(row + 1) * cell,
                              col * cell:(col + 1) * cell]
             assert np.array_equal(clip_tokens[i], patch.reshape(-1))
 
@@ -95,20 +104,20 @@ def test_partition_order_matches_record_bookkeeping(seed, t, scale, channels, ce
 @pytest.mark.parametrize("t,l", [(1, 1), (2, 2), (4, 4), (3, 2)])
 def test_partition_unpartition_round_trip_bitwise(t, l):
     rng = np.random.default_rng(t * 10 + l)
-    x = T.tensor(rng.normal(size=(t, 3, 8, 8)))
+    x = T.tensor(rng.normal(size=(t, 8, 8, 3)))
     assert np.array_equal(unpartition_patches(partition_patches(x, l), x.shape, l).data,
                           x.data)
 
 
 def test_partition_rejects_indivisible_extent():
     with pytest.raises(ShapeError):
-        partition_patches(T.tensor(np.zeros((1, 2, 6, 6))), 4)
+        partition_patches(T.tensor(np.zeros((1, 6, 6, 2))), 4)
 
 
 def test_unpartition_rejects_tokens_of_another_map():
     tokens = partition_patches(rand_map(np.random.default_rng(8), 2, 2, 4, 4), 1)
     with pytest.raises(ShapeError):
-        unpartition_patches(tokens, (2, 2, 8, 8), 2)
+        unpartition_patches(tokens, (2, 8, 8, 2), 2)
 
 
 # ----------------------------------------------------------- head attention
@@ -124,7 +133,7 @@ def test_single_token_attention_is_identity():
 def test_uniform_keys_average_the_values():
     rng = np.random.default_rng(1)
     frame = rng.normal(size=(1, 2, 4, 4))
-    k = T.tensor(np.broadcast_to(frame, (4, 2, 4, 4)).copy(), dtype=np.float64)
+    k = T.tensor(np.broadcast_to(frame, (4, 2, 4, 4)).transpose(0, 2, 3, 1), dtype=np.float64)
     q, _, v = rand_qkv(2, 4, 2, 4, 4)
     out, alpha = head_attention(partition_patches(q, 1), partition_patches(k, 1),
                                 partition_patches(v, 1))
@@ -137,7 +146,7 @@ def test_head_attention_matches_double_loop_oracle():
     # one head over all channels: T=2, l=2, C=2, 4x4 maps
     q, k, v = rand_qkv(3, 2, 2, 4, 4)
     got = multiscale_attention((q, k, v), (2,))
-    want = multiscale_attention_naive(q.data, k.data, v.data, [2])
+    want = naive(q, k, v, [2])
     assert np.allclose(got.data, want, atol=1e-6)
 
 
@@ -164,10 +173,10 @@ def test_reassemble_concatenates_channels():
     # head i fills channel slice i of the output
     q, k, v = rand_qkv(6, 2, 12, 4, 4)
     out = multiscale_attention((q, k, v), (1, 2))
-    assert out.shape == (2, 12, 4, 4)
+    assert out.shape == (2, 4, 4, 12)
     for i, l in enumerate((1, 2)):
-        part = [T.tensor(m.data[:, 6 * i:6 * (i + 1)], dtype=np.float64) for m in (q, k, v)]
-        assert np.array_equal(out.data[:, 6 * i:6 * (i + 1)],
+        part = [T.tensor(m.data[..., 6 * i:6 * (i + 1)], dtype=np.float64) for m in (q, k, v)]
+        assert np.array_equal(out.data[..., 6 * i:6 * (i + 1)],
                               multiscale_attention(tuple(part), (l,)).data)
 
 
@@ -193,7 +202,7 @@ def test_table_scale_pair_token_counts_and_shape():
     q, k, v = rand_qkv(10, 8, 12, 28, 28)
     recs = []
     out = multiscale_attention((q, k, v), (1, 2), records=recs)
-    assert out.shape == (8, 12, 28, 28)
+    assert out.shape == (8, 28, 28, 12)
     assert [r.alpha.shape for r in recs] == [(8, 8), (32, 32)]
     assert [r.scale for r in recs] == [1, 2]
     assert [(r.map_h, r.map_w) for r in recs] == [(28, 28), (28, 28)]
@@ -202,8 +211,8 @@ def test_table_scale_pair_token_counts_and_shape():
 def test_three_scale_output_matches_oracle():
     q, k, v = rand_qkv(11, 2, 12, 4, 4)
     got = multiscale_attention((q, k, v), (1, 2, 4))
-    want = multiscale_attention_naive(q.data, k.data, v.data, [1, 2, 4])
-    assert got.shape == (2, 12, 4, 4)
+    want = naive(q, k, v, [1, 2, 4])
+    assert got.shape == (2, 4, 4, 12)
     assert np.allclose(got.data, want, atol=1e-6)
 
 
@@ -218,7 +227,7 @@ def test_oracle_equivalence_grid(t, scales):
     c = 6 * len(scales) if len(scales) == 3 else 6
     q, k, v = rand_qkv(seed, t, c, 4, 4)
     got = multiscale_attention((q, k, v), tuple(scales))
-    want = multiscale_attention_naive(q.data, k.data, v.data, scales)
+    want = naive(q, k, v, scales)
     assert np.allclose(got.data, want, atol=1e-6)
 
 
@@ -228,17 +237,17 @@ def test_serial_equals_per_head_schedule_bitwise():
     scales = (1, 2)
     fused = multiscale_attention((q, k, v), scales)
     parts = []
-    qs, ks, vs = (T.split(m, 2, 1) for m in (q, k, v))
+    qs, ks, vs = (T.split(m, 2, -1) for m in (q, k, v))
     for i, l in enumerate(scales):
         att, _ = head_attention(partition_patches(qs[i], l), partition_patches(ks[i], l),
                                 partition_patches(vs[i], l))
         parts.append(unpartition_patches(att, qs[i].shape, l))
-    assert np.array_equal(T.concat(parts, axis=1).data, fused.data)
+    assert np.array_equal(T.concat(parts, axis=-1).data, fused.data)
 
 
 def test_module_rejects_mismatched_maps():
     q, k, v = rand_qkv(13, 2, 6, 4, 4)
-    bad = T.tensor(np.zeros((2, 6, 8, 8)))
+    bad = T.tensor(np.zeros((2, 8, 8, 6)))
     with pytest.raises(ShapeError):
         multiscale_attention((q, k, bad), (1,))
 
@@ -260,7 +269,7 @@ def test_attention_rows_are_stochastic(seed, t, scales):
 
 
 def test_short_and_long_range_masks_partition_the_scores():
-    n = partition_patches(T.tensor(np.zeros((2, 2, 4, 4))), 2).shape[-2]
+    n = partition_patches(T.tensor(np.zeros((2, 4, 4, 2))), 2).shape[-2]
     same, cross = short_long_masks(record_for(n, scale=2).frame_of)
     assert same.shape == (8, 8)
     assert np.all(same ^ cross)

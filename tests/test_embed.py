@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from padformer import tensor as T
 from padformer.embed import VideoClip, conv_ffn, conv_project, conv_token_embed
 
-from oracles import conv2d_naive
+from oracles import conv2d_backward_naive, conv2d_naive
 from gradcheck import scalarize
 from test_gradients import check
 
@@ -23,29 +23,39 @@ def zeros(*shape):
     return T.tensor(np.zeros(shape))
 
 
+def channels_first(a):
+    """[..., H, W, C] -> [N, C, H, W], the loop oracles' layout."""
+    return np.moveaxis(a.reshape((-1,) + a.shape[-3:]), -1, 1)
+
+
+def channels_last(a, shape):
+    """[N, C, H, W] -> ``shape`` ([..., H, W, C])."""
+    return np.moveaxis(a, 1, -1).reshape(shape)
+
+
 # ---------------------------------------------------------------- tokenizer
 
 def test_token_map_shape_full_resolution():
     rng = np.random.default_rng(0)
     clip = VideoClip(frames=rng.random((8, 3, 224, 224), dtype=np.float32), label=1)
     w = T.tensor(rng.standard_normal((96, 3, 8, 8)))
-    out = conv_token_embed(T.tensor(clip.frames), w, zeros(96), stride=8)
-    assert out.shape == (8, 96, 28, 28)
+    out = conv_token_embed(clip.frames, w, zeros(96), stride=8)
+    assert out.shape == (8, 28, 28, 96)
 
 
 def test_token_map_shape_minimal():
     rng = np.random.default_rng(1)
     clip = VideoClip(frames=rng.random((1, 3, 16, 16), dtype=np.float32), label=0)
     w = T.tensor(rng.standard_normal((6, 3, 8, 8)))
-    out = conv_token_embed(T.tensor(clip.frames), w, zeros(6), stride=8)
-    assert out.shape == (1, 6, 2, 2)
+    out = conv_token_embed(clip.frames, w, zeros(6), stride=8)
+    assert out.shape == (1, 2, 2, 6)
 
 
 def test_zero_clip_zero_bias_gives_zero_map():
     clip = VideoClip(frames=np.zeros((2, 3, 16, 16), dtype=np.float32), label=1)
     w = T.tensor(np.random.default_rng(2).standard_normal((4, 3, 8, 8)))
-    out = conv_token_embed(T.tensor(clip.frames), w, zeros(4), stride=8)
-    assert np.array_equal(out.data, np.zeros((2, 4, 2, 2), dtype=np.float32))
+    out = conv_token_embed(clip.frames, w, zeros(4), stride=8)
+    assert np.array_equal(out.data, np.zeros((2, 2, 2, 4), dtype=np.float32))
 
 
 def test_translation_consistency_at_stride_granularity():
@@ -57,16 +67,40 @@ def test_translation_consistency_at_stride_granularity():
     shifted[:, :, :, stride:] = x[:, :, :, :-stride]
     w = T.tensor(rng.standard_normal((5, 3, stride, stride)))
     b = T.tensor(rng.standard_normal(5))
-    base = conv_token_embed(T.tensor(x), w, b, stride=stride).data
-    moved = conv_token_embed(T.tensor(shifted), w, b, stride=stride).data
-    assert np.allclose(moved[:, :, :, 1:], base[:, :, :, :-1], atol=1e-6)
+    base = conv_token_embed(x, w, b, stride=stride).data
+    moved = conv_token_embed(shifted, w, b, stride=stride).data
+    assert np.allclose(moved[:, :, 1:], base[:, :, :-1], atol=1e-6)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 10_000), stride=st.sampled_from([2, 4, 8]),
+       lead=st.sampled_from([(1,), (3,), (2, 2)]), cout=st.integers(1, 4),
+       rows=st.integers(1, 2), cols=st.integers(1, 2))
+def test_patchify_embed_matches_the_strided_conv_oracle(seed, stride, lead, cout, rows, cols):
+    # the patchify matmul is the stride-s, pad-0 convolution: forward, and the
+    # weight and bias gradients (the frames are constants and get none)
+    rng = np.random.default_rng(seed)
+    frames = rng.random(lead + (3, rows * stride, cols * stride))
+    w = T.param(rng.normal(size=(cout, 3, stride, stride)))
+    b = T.param(rng.normal(size=cout))
+    with T.Tape():
+        out = conv_token_embed(frames, w, b, stride)
+        g = rng.normal(size=out.shape)
+        T.backward(scalarize(out, g))
+    x = frames.reshape((-1,) + frames.shape[-3:])
+    want = conv2d_naive(x, w.data, b.data, stride, 0)
+    assert out.shape == lead + (rows, cols, cout)
+    np.testing.assert_allclose(out.data, channels_last(want, out.shape), rtol=0, atol=1e-12)
+    _, want_gw, want_gb = conv2d_backward_naive(x, w.data, channels_first(g), stride, 0)
+    np.testing.assert_allclose(w.grad, want_gw, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(b.grad, want_gb, rtol=0, atol=1e-10)
 
 
 # --------------------------------------------------------------- projection
 
 def test_identity_projection_reproduces_token_map():
     rng = np.random.default_rng(4)
-    x = T.tensor(rng.standard_normal((2, 6, 4, 4)))
+    x = T.tensor(rng.standard_normal((2, 4, 4, 6)))
     wid = T.tensor(identity_kernel(6, 3))
     b = zeros(6)
     q, k, v = conv_project(x, wid, b, wid, b, wid, b)
@@ -75,7 +109,7 @@ def test_identity_projection_reproduces_token_map():
 
 
 def test_zero_projection_kernels():
-    x = T.tensor(np.random.default_rng(5).standard_normal((2, 6, 4, 4)))
+    x = T.tensor(np.random.default_rng(5).standard_normal((2, 4, 4, 6)))
     wz = zeros(6, 6, 3, 3)
     b = zeros(6)
     q, k, v = conv_project(x, wz, b, wz, b, wz, b)
@@ -85,7 +119,7 @@ def test_zero_projection_kernels():
 
 def test_projection_preserves_shape():
     rng = np.random.default_rng(6)
-    x = T.tensor(rng.standard_normal((2, 6, 4, 4)))
+    x = T.tensor(rng.standard_normal((2, 4, 4, 6)))
     mk = lambda: T.tensor(rng.standard_normal((6, 6, 3, 3)))
     bk = lambda: T.tensor(rng.standard_normal(6))
     q, k, v = conv_project(x, mk(), bk(), mk(), bk(), mk(), bk())
@@ -93,8 +127,8 @@ def test_projection_preserves_shape():
 
 
 def projection_operands(rng, lead, c, h, w):
-    """Random float64 input map and (wq, bq, wk, bk, wv, bv)."""
-    x = rng.normal(size=lead + (c, h, w))
+    """Random float64 channels-last input map and (wq, bq, wk, bk, wv, bv)."""
+    x = rng.normal(size=lead + (h, w, c))
     weights = []
     for _ in range(3):
         weights += [rng.normal(size=(c, c, 3, 3)), rng.normal(size=c)]
@@ -103,7 +137,7 @@ def projection_operands(rng, lead, c, h, w):
 
 def separate_projection(x, wq, bq, wk, bk, wv, bv):
     """Reference: one 3x3 conv2d per map, as before the fusion."""
-    return tuple(T.conv2d(x, w, b, stride=1, pad=1)
+    return tuple(T.conv2d(x, w, b, pad=1)
                  for w, b in ((wq, bq), (wk, bk), (wv, bv)))
 
 
@@ -123,11 +157,10 @@ def test_projection_matches_three_naive_convs(seed, b, t, c, h, w):
     x, weights = projection_operands(np.random.default_rng(seed), lead, c, h, w)
     maps = conv_project(T.tensor(x, dtype=np.float64),
                         *[T.tensor(a, dtype=np.float64) for a in weights])
-    frames = x.reshape(-1, c, h, w)
     for m, (wm, bm) in zip(maps, zip(weights[0::2], weights[1::2])):
-        want = conv2d_naive(frames, wm, bm, stride=1, pad=1).reshape(x.shape)
+        want = conv2d_naive(channels_first(x), wm, bm, stride=1, pad=1)
         assert m.shape == x.shape
-        np.testing.assert_allclose(m.data, want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(m.data, channels_last(want, x.shape), rtol=0, atol=1e-12)
 
 
 @settings(max_examples=25, deadline=None)
@@ -158,27 +191,27 @@ def test_projection_runs_one_convolution(monkeypatch):
     calls = []
     conv2d = T.conv2d
 
-    def counting(x, w, b, stride=1, pad=0):
-        calls.append((w.shape, stride, pad))
-        return conv2d(x, w, b, stride=stride, pad=pad)
+    def counting(x, w, b, pad=0):
+        calls.append((w.shape, pad))
+        return conv2d(x, w, b, pad=pad)
 
     monkeypatch.setattr(T, "conv2d", counting)
     x, weights = projection_operands(np.random.default_rng(11), (2, 2), 4, 3, 3)
     q, k, v = conv_project(T.tensor(x), *[T.tensor(a) for a in weights])
-    assert calls == [((12, 4, 3, 3), 1, 1)]
+    assert calls == [((12, 4, 3, 3), 1)]
     assert q.shape == k.shape == v.shape == x.shape
 
 
 # -------------------------------------------------------------- feed-forward
 
 def test_ffn_zero_weights_zero_output():
-    y = T.tensor(np.random.default_rng(7).standard_normal((2, 4, 3, 3)))
+    y = T.tensor(np.random.default_rng(7).standard_normal((2, 3, 3, 4)))
     out = conv_ffn(y, zeros(8, 4, 1, 1), zeros(8), zeros(4, 8, 1, 1), zeros(4))
     assert np.array_equal(out.data, np.zeros_like(y.data))
 
 
 def test_ffn_identity_convs_reduce_to_gelu():
-    y = T.tensor(np.random.default_rng(8).standard_normal((2, 4, 3, 3)))
+    y = T.tensor(np.random.default_rng(8).standard_normal((2, 3, 3, 4)))
     wid = T.tensor(identity_kernel(4, 1))
     b = zeros(4)
     out = conv_ffn(y, wid, b, wid, b)
@@ -187,7 +220,7 @@ def test_ffn_identity_convs_reduce_to_gelu():
 
 def test_ffn_gradient_check():
     rng = np.random.default_rng(9)
-    y = rng.normal(size=(2, 3, 4, 4))
+    y = rng.normal(size=(2, 4, 4, 3))
     w1 = rng.normal(size=(6, 3, 1, 1))
     b1 = rng.normal(size=6)
     w2 = rng.normal(size=(3, 6, 1, 1))

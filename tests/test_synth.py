@@ -1,11 +1,13 @@
 """Tests for the synthetic spoof-video generator and its on-disk store."""
 
 import os
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from padformer import vpt
 from padformer.synth import (
     ClipRecord,
     SynthSpec,
@@ -204,6 +206,19 @@ def test_store_duplicate_clip_id_names_the_line(tmp_path):
     manifest.write_text("\n".join(lines + [lines[1]]) + "\n", encoding="utf-8")
     with pytest.raises(ValueError, match=rf"manifest\.csv line 4: "
                                          rf"duplicate clip_id '{records[0].clip_id}'"):
+        load_store(tmp_path / "data")
+
+
+@pytest.mark.parametrize("shape", [(6, 1, 16, 16), (6, 16, 16), (6, 16, 16, 3)],
+                         ids=["one-channel", "rank-3", "channels-last"])
+def test_store_clip_must_be_rgb_frames(tmp_path, shape):
+    # a one-channel clip would broadcast through augmentation and train silently
+    records = generate_dataset(SMALL)[:2]
+    write_store(tmp_path / "data", records)
+    vpt.write_tensor(tmp_path / "data" / "clips" / f"{records[1].clip_id}.vpt",
+                     np.zeros(shape, dtype=np.float32))
+    with pytest.raises(ValueError, match=r"manifest\.csv line 3: clip must be \[frames, "
+                                         r"3, H, W\], got " + re.escape(str(shape))):
         load_store(tmp_path / "data")
 
 

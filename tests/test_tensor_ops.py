@@ -54,89 +54,110 @@ class TestMatmul:
         with pytest.raises(T.ShapeError):
             T.matmul(t64(np.zeros((2, 3, 4))), t64(np.zeros((3, 4, 5))))
 
+    def test_input_gradient_only_for_a_param_or_taped_input(self):
+        # a constant operand (the embed's frame patches) gets None; the other
+        # operand's gradient is the one it gets when both are computed
+        rng = np.random.default_rng(3)
+        a, b = rng.normal(size=(2, 5, 3)), rng.normal(size=(2, 3, 4))
+        g = rng.normal(size=(2, 5, 4))
+        with T.Tape():
+            grads = {}
+            for name, make in (("const", t64), ("leaf", T.param),
+                               ("taped", lambda v: T.scale(t64(v), 1.0))):
+                out = T.matmul(make(a), T.param(b))
+                grads[name, "a"] = out.node.backward(g)
+                out = T.matmul(T.param(a), make(b))
+                grads[name, "b"] = out.node.backward(g)
+        assert grads["const", "a"][0] is None and grads["const", "b"][1] is None
+        want_ga = np.matmul(g, b.transpose(0, 2, 1))
+        want_gb = np.matmul(a.transpose(0, 2, 1), g)
+        for name in ("const", "leaf", "taped"):
+            assert np.array_equal(grads[name, "a"][1], want_gb)
+            assert np.array_equal(grads[name, "b"][0], want_ga)
+        for name in ("leaf", "taped"):
+            assert np.array_equal(grads[name, "a"][0], want_ga)
+            assert np.array_equal(grads[name, "b"][1], want_gb)
+
+
+def channels_last(a):
+    return np.ascontiguousarray(np.moveaxis(a, -3, -1))
+
+
+def channels_first(a):
+    return np.moveaxis(a, -1, -3)
+
 
 class TestConv2d:
+    # conv2d takes [..., H, W, C] maps; the loop oracles take [N, C, H, W]
+
     def test_scalar_kernel_doubles(self):
-        x = np.arange(9, dtype=np.float64).reshape(1, 1, 3, 3)
+        x = np.arange(9, dtype=np.float64).reshape(1, 3, 3, 1)
         w = np.full((1, 1, 1, 1), 2.0)
-        out = T.conv2d(t64(x), t64(w), t64(np.zeros(1)), stride=1, pad=0)
+        out = T.conv2d(t64(x), t64(w), t64(np.zeros(1)), pad=0)
         assert np.array_equal(out.data, 2.0 * x)
 
     def test_sum_pooling(self):
-        x = np.ones((1, 1, 4, 4))
+        x = np.ones((1, 4, 4, 1))
         w = np.ones((1, 1, 2, 2))
-        out = T.conv2d(t64(x), t64(w), t64(np.zeros(1)), stride=2, pad=0)
-        assert out.shape == (1, 1, 2, 2)
-        assert np.array_equal(out.data, np.full((1, 1, 2, 2), 4.0))
+        out = T.conv2d(t64(x), t64(w), t64(np.zeros(1)), pad=0)
+        assert out.shape == (1, 3, 3, 1)
+        assert np.array_equal(out.data, np.full((1, 3, 3, 1), 4.0))
 
-    @pytest.mark.parametrize("stride,pad", [(1, 0), (1, 1), (2, 0), (2, 1), (3, 2)])
-    def test_matches_naive_oracle(self, stride, pad):
-        rng = np.random.default_rng(stride * 10 + pad)
+    @pytest.mark.parametrize("k,pad", [(1, 0), (1, 1), (2, 0), (2, 1), (3, 2)])
+    def test_matches_naive_oracle(self, k, pad):
+        rng = np.random.default_rng(k * 10 + pad)
         x = rng.normal(size=(2, 3, 8, 8))
-        w = rng.normal(size=(4, 3, 3, 3))
+        w = rng.normal(size=(4, 3, k, k))
         b = rng.normal(size=4)
-        out = T.conv2d(t64(x), t64(w), t64(b), stride=stride, pad=pad)
-        ref = conv2d_naive(x, w, b, stride, pad)
-        assert np.abs(out.data - ref).max() < 1e-6
+        out = T.conv2d(t64(channels_last(x)), t64(w), t64(b), pad=pad)
+        ref = conv2d_naive(x, w, b, 1, pad)
+        assert np.abs(channels_first(out.data) - ref).max() < 1e-6
 
     def test_kernel_larger_than_padded_input(self):
         with pytest.raises(T.ShapeError):
-            T.conv2d(t64(np.zeros((1, 1, 3, 3))), t64(np.zeros((1, 1, 5, 5))),
-                     t64(np.zeros(1)), stride=1, pad=0)
+            T.conv2d(t64(np.zeros((1, 3, 3, 1))), t64(np.zeros((1, 1, 5, 5))),
+                     t64(np.zeros(1)), pad=0)
 
     def test_channel_mismatch(self):
         with pytest.raises(T.ShapeError):
-            T.conv2d(t64(np.zeros((1, 2, 4, 4))), t64(np.zeros((1, 3, 2, 2))),
-                     t64(np.zeros(1)), stride=1, pad=0)
-
-    def test_input_gradient_only_for_a_param_or_taped_input(self):
-        rng = np.random.default_rng(3)
-        w, b = T.param(rng.normal(size=(2, 3, 2, 2))), T.param(np.zeros(2))
-        x = rng.normal(size=(2, 3, 4, 4))
-        const, leaf = t64(x), T.param(x)
-        with T.Tape():
-            taped = T.scale(t64(x), 1.0)
-            grads = {}
-            for name, inp in (("const", const), ("leaf", leaf), ("taped", taped)):
-                out = T.conv2d(inp, w, b, stride=2, pad=0)
-                grads[name] = out.node.backward(np.ones(out.shape))
-        assert grads["const"][0] is None
-        assert np.array_equal(grads["leaf"][0], grads["taped"][0])
-        assert grads["leaf"][0].shape == x.shape
-        for name in ("const", "taped"):
-            assert np.array_equal(grads[name][1], grads["leaf"][1])
+            T.conv2d(t64(np.zeros((1, 4, 4, 2))), t64(np.zeros((1, 3, 2, 2))),
+                     t64(np.zeros(1)), pad=0)
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10_000), lead=st.sampled_from([(1,), (3,), (2, 2)]),
            cin=st.integers(1, 5), cout=st.integers(1, 3),
-           kh=st.integers(1, 4), kw=st.integers(1, 4), stride=st.integers(1, 3),
+           kh=st.integers(1, 4), kw=st.integers(1, 4),
            pad=st.integers(0, 2), dh=st.integers(0, 4), dw=st.integers(0, 4),
            dtype=st.sampled_from([np.float32, np.float64]))
-    @example(seed=0, lead=(2, 2), cin=3, cout=2, kh=3, kw=2, stride=2, pad=0,
-             dh=1, dw=2, dtype=np.float32)                  # stride == kw < kh
-    @example(seed=1, lead=(3,), cin=2, cout=3, kh=2, kw=4, stride=1, pad=2,
-             dh=0, dw=0, dtype=np.float64)                  # stride < kernel, pad 2
+    @example(seed=0, lead=(2, 2), cin=3, cout=2, kh=3, kw=2, pad=0,
+             dh=1, dw=2, dtype=np.float32)                  # unpadded, kw < kh
+    @example(seed=1, lead=(3,), cin=2, cout=3, kh=2, kw=4, pad=2,
+             dh=0, dw=0, dtype=np.float64)                  # pad 2
+    @example(seed=2, lead=(2, 2), cin=4, cout=3, kh=1, kw=1, pad=0,
+             dh=2, dw=3, dtype=np.float32)                  # the FFN's 1x1 GEMM
     def test_forward_and_gradients_match_loop_oracles(self, seed, lead, cin, cout, kh, kw,
-                                                      stride, pad, dh, dw, dtype):
+                                                      pad, dh, dw, dtype):
         rng = np.random.default_rng(seed)
         h, wid = max(1, kh - 2 * pad) + dh, max(1, kw - 2 * pad) + dw
-        x = rng.normal(size=lead + (cin, h, wid)).astype(dtype)
+        x = rng.normal(size=lead + (h, wid, cin)).astype(dtype)
         w = rng.normal(size=(cout, cin, kh, kw)).astype(dtype)
         b = rng.normal(size=cout).astype(dtype)
         xt, wt, bt = T.param(x), T.param(w), T.param(b)
         with T.Tape():
-            out = T.conv2d(xt, wt, bt, stride=stride, pad=pad)
+            out = T.conv2d(xt, wt, bt, pad=pad)
             g = rng.normal(size=out.shape).astype(dtype)
             gx, gw, gb = out.node.backward(g)
-        x64, w64 = x.reshape((-1,) + x.shape[-3:]).astype(np.float64), w.astype(np.float64)
-        ref = conv2d_naive(x64, w64, b.astype(np.float64), stride, pad)
-        g64 = g.reshape(ref.shape).astype(np.float64)
-        ref_gx, ref_gw, ref_gb = conv2d_backward_naive(x64, w64, g64, stride, pad)
+        x64 = channels_first(x.reshape((-1,) + x.shape[-3:])).astype(np.float64)
+        w64 = w.astype(np.float64)
+        ref = conv2d_naive(x64, w64, b.astype(np.float64), 1, pad)
+        g64 = channels_first(g.reshape((-1,) + g.shape[-3:])).astype(np.float64)
+        ref_gx, ref_gw, ref_gb = conv2d_backward_naive(x64, w64, g64, 1, pad)
         tol = 1e-4 if dtype == np.float32 else 1e-10
-        for got, want in ((out.data, ref), (gx, ref_gx), (gw, ref_gw), (gb, ref_gb)):
+        for got, want in ((channels_first(out.data), ref), (channels_first(gx), ref_gx),
+                          (gw, ref_gw), (gb, ref_gb)):
             assert got.dtype == dtype
             np.testing.assert_allclose(got, want.reshape(got.shape), rtol=tol, atol=tol)
-        assert out.shape == lead + ref.shape[1:] and gx.shape == x.shape
+        assert out.shape == lead + channels_last(ref).shape[1:] and gx.shape == x.shape
 
 
 class TestSoftmax:
@@ -159,22 +180,22 @@ class TestSoftmax:
 class TestLayerNorm:
     def test_constant_vector_zeroed_by_eps(self):
         x = t64(np.full((5,), 3.7))
-        out = T.layer_norm(x, 0, t64(np.ones(5)), t64(np.zeros(5)), eps=1e-5)
+        out = T.layer_norm(x, t64(np.ones(5)), t64(np.zeros(5)), eps=1e-5)
         assert np.allclose(out.data, 0.0)
 
     def test_two_point_standardization(self):
-        out = T.layer_norm(t64([1.0, 3.0]), 0, t64(np.ones(2)), t64(np.zeros(2)), eps=1e-12)
+        out = T.layer_norm(t64([1.0, 3.0]), t64(np.ones(2)), t64(np.zeros(2)), eps=1e-12)
         assert np.allclose(out.data, [-1.0, 1.0], atol=1e-6)
 
     def test_per_position_mean_vanishes(self):
         rng = np.random.default_rng(3)
-        x = rng.normal(size=(2, 6, 3, 3))
-        out = T.layer_norm(t64(x), 1, t64(np.ones(6)), t64(np.zeros(6)))
-        assert np.abs(out.data.mean(axis=1)).max() < 1e-6
+        x = rng.normal(size=(2, 3, 3, 6))
+        out = T.layer_norm(t64(x), t64(np.ones(6)), t64(np.zeros(6)))
+        assert np.abs(out.data.mean(axis=-1)).max() < 1e-6
 
     def test_affine_length_checked(self):
         with pytest.raises(T.ShapeError):
-            T.layer_norm(t64(np.zeros((2, 4))), 1, t64(np.ones(3)), t64(np.zeros(3)))
+            T.layer_norm(t64(np.zeros((2, 4))), t64(np.ones(3)), t64(np.zeros(3)))
 
 
 class TestShapeOps:
