@@ -5,14 +5,17 @@ per frame (l is the head's scale divisor), flattens every grid cell into one
 token, and stacks the tokens of all T frames into a single sequence of
 N = T * l**2 patches. Attention therefore mixes same-frame pairs (short-range,
 spatial) and cross-frame pairs (long-range, temporal) inside one score matrix.
-Attended patches are placed back at their frame/grid positions and the heads
-are concatenated along channels. Maps are channels-last, [T, H, W, C] for one
+Attended patches are placed back at their frame/grid positions, each head in
+its channel slice of the output. Maps are channels-last, [T, H, W, C] for one
 clip or [B, T, H, W, C] for a batch; clips in a batch attend only within
-themselves, as one batched matmul per head.
+themselves, as one batched matmul per head. The token layout runs on plain
+arrays, and one layer's attention is a single recorded primitive with a
+hand-written backward.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,71 +50,82 @@ class AttentionRecord:
         return np.stack([rem // self.scale, rem % self.scale], axis=1)
 
 
-def partition_patches(f: Tensor, scale: int) -> Tensor:
-    """Split each frame of [T, H, W, C] (or [B, T, H, W, C]) into an l x l grid
-    of tokens flattened in (ph, pw, C) order: [T * l * l, H/l * W/l * C]
-    (or [B, ...]), in the order of ``AttentionRecord.frame_of`` and
-    ``cell_of``."""
+def partition_patches(f: np.ndarray, scale: int) -> np.ndarray:
+    """Split each frame of a [T, H, W, C] (or [B, T, H, W, C]) array into an
+    l x l grid of tokens flattened in (ph, pw, C) order: [T * l * l,
+    H/l * W/l * C] (or [B, ...]), in the order of ``AttentionRecord.frame_of``
+    and ``cell_of``."""
     *lead, t, h, w, c = f.shape
+    if h % scale or w % scale:
+        raise ShapeError(f"scale {scale} does not divide map extent {h}x{w}")
     ph, pw = h // scale, w // scale
-    g = tt.reshape(f, (int(np.prod(lead)) * t, scale, ph, scale, pw, c))
-    g = tt.transpose(g, (0, 1, 3, 2, 4, 5))                     # [B*T, l, l, ph, pw, C]
-    return tt.reshape(g, tuple(lead) + (t * scale * scale, ph * pw * c))
+    g = f.reshape(-1, scale, ph, scale, pw, c).transpose(0, 1, 3, 2, 4, 5)
+    return g.reshape(tuple(lead) + (t * scale * scale, ph * pw * c))
 
 
-def unpartition_patches(tokens: Tensor, shape: tuple, scale: int) -> Tensor:
-    """Place every token back at its frame/grid position in a map of ``shape``;
-    inverse of partition."""
+def unpartition_patches(tokens: np.ndarray, shape: tuple, scale: int) -> np.ndarray:
+    """Place every token back at its frame/grid position in an array of
+    ``shape``; inverse of partition."""
     *lead, t, h, w, c = shape
-    g = tt.reshape(tokens, (int(np.prod(lead)) * t, scale, scale, h // scale, w // scale, c))
-    g = tt.transpose(g, (0, 1, 3, 2, 4, 5))                     # [B*T, l, ph, l, pw, C]
-    return tt.reshape(g, shape)
-
-
-def head_attention(q: Tensor, k: Tensor, v: Tensor) -> tuple:
-    """Scaled dot-product attention over one head's stacked patch tokens.
-
-    Scores are q . k / sqrt(D) with D the flattened patch dimension of this
-    head, softmaxed per query row. Batched tokens ([B, N, D]) attend clip by
-    clip in one batched matmul. Returns the attended tokens and the weights.
-    """
-    n = len(k.shape)
-    kt = tt.transpose(k, tuple(range(n - 2)) + (n - 1, n - 2))
-    scores = tt.scale(tt.matmul(q, kt), 1.0 / np.sqrt(q.shape[-1]))
-    alpha = tt.softmax(scores, axis=-1)
-    return tt.matmul(alpha, v), alpha
+    ph, pw = h // scale, w // scale
+    if tokens.shape != tuple(lead) + (t * scale * scale, ph * pw * c):
+        raise ShapeError(f"tokens {tokens.shape} do not tile a {shape} map at scale {scale}")
+    g = tokens.reshape(-1, scale, scale, ph, pw, c).transpose(0, 1, 3, 2, 4, 5)
+    return g.reshape(shape)
 
 
 def multiscale_attention(qkv, scales, records: list | None = None,
                          layer: int = 0) -> Tensor:
-    """Full multi-scale attention: split channels across heads, attend, reassemble.
+    """Full multi-scale attention as one primitive with a hand-written backward.
 
     ``qkv`` holds three [T, H, W, C] (or [B, T, H, W, C]) maps and ``scales``
-    one grid divisor per head; the result has the maps' shape and is added
-    residually by the caller. When ``records`` is given, one
-    ``AttentionRecord`` per head and clip is appended to it.
+    one grid divisor per head; head i owns channel slice i of the maps and of
+    the output, which the caller adds residually. When ``records`` is given,
+    one ``AttentionRecord`` per head and clip is appended to it.
     """
     q, k, v = qkv
     if q.shape != k.shape or k.shape != v.shape:
         raise ShapeError(f"q/k/v maps disagree: {q.shape}, {k.shape}, {v.shape}")
-    if len(scales) > 1:
-        qs, ks, vs = (tt.split(m, len(scales), -1) for m in (q, k, v))
-    else:
-        qs, ks, vs = [q], [k], [v]
-    heads = []
+    shape = q.shape
+    width = shape[-1] // len(scales)
+    head_shape = shape[:-1] + (width,)
+    out = np.empty(shape, dtype=q.dtype)
+    saved = []
     for i, l in enumerate(scales):
-        attended, alpha = head_attention(partition_patches(qs[i], l),
-                                         partition_patches(ks[i], l),
-                                         partition_patches(vs[i], l))
-        heads.append(attended)
+        sl = np.s_[..., i * width:(i + 1) * width]
+        qt, kt, vt = (partition_patches(m.data[sl], l) for m in qkv)
+        s = 1.0 / math.sqrt(qt.shape[-1])   # 1/sqrt(D) as a Python float keeps float32
+        # a contiguous k^T: BLAS sums over a transposed view in another order
+        alpha = qt @ np.ascontiguousarray(np.swapaxes(kt, -1, -2))
+        alpha *= s
+        alpha -= alpha.max(axis=-1, keepdims=True)
+        np.exp(alpha, out=alpha)
+        alpha /= alpha.sum(axis=-1, keepdims=True)
+        ot = alpha @ vt
+        out[sl] = unpartition_patches(ot, head_shape, l)
+        saved.append((sl, l, s, qt, kt, vt, alpha, ot))
         if records is not None:
-            n = alpha.shape[-1]
             records.extend(
                 AttentionRecord(layer=layer, head=i, scale=l, alpha=weights.copy(),
-                                map_h=q.shape[-3], map_w=q.shape[-2], clip=clip)
-                for clip, weights in enumerate(alpha.data.reshape(-1, n, n)))
-    maps = [unpartition_patches(h, qs[0].shape, l) for h, l in zip(heads, scales)]
-    return maps[0] if len(maps) == 1 else tt.concat(maps, axis=-1)
+                                map_h=shape[-3], map_w=shape[-2], clip=clip)
+                for clip, weights in enumerate(alpha.reshape((-1,) + alpha.shape[-2:])))
+
+    def back(g):
+        # softmax backward without an [N, N] product for its row sums:
+        # rowsum(dalpha * alpha) = rowsum(go * o) (Dao et al. 2022)
+        grads = [np.empty_like(out) for _ in range(3)]
+        for sl, l, s, qt, kt, vt, alpha, ot in saved:
+            go = partition_patches(g[sl], l)
+            da = go @ np.swapaxes(vt, -1, -2)
+            da -= (go * ot).sum(axis=-1, keepdims=True)
+            da *= alpha
+            tokens = (s * (da @ kt), s * (np.swapaxes(da, -1, -2) @ qt),
+                      np.swapaxes(alpha, -1, -2) @ go)
+            for grad, t in zip(grads, tokens):
+                grad[sl] = unpartition_patches(t, head_shape, l)
+        return tuple(grads)
+
+    return tt.record(out, (q, k, v), back)
 
 
 def short_long_masks(frame_of: np.ndarray):

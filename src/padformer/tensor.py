@@ -3,8 +3,8 @@
 Every tensor wraps a contiguous row-major numpy buffer (float32 for training,
 float64 for gradient checking). Differentiable primitives record themselves on
 the active tape; ``backward`` replays the tape in reverse and accumulates
-gradients into leaf tensors. Higher modules are pure compositions of the
-primitives defined here.
+gradients into leaf tensors. Higher modules compose these primitives or
+record their own (the attention layer, the loss).
 
 Dtype rule: every primitive returns, and back-propagates, its operands'
 dtype, so a float32 model trains and scores in float32 throughout. ``record``
@@ -24,8 +24,8 @@ from scipy.special import erf
 
 __all__ = [
     "Tensor", "Tape", "ShapeError", "tensor", "param", "record", "backward",
-    "add", "scale", "gelu", "matmul", "conv2d",
-    "softmax", "layer_norm", "reshape", "transpose", "concat", "split",
+    "add", "gelu", "matmul", "conv2d",
+    "layer_norm", "reshape", "transpose", "concat", "split",
     "mean", "AdamState", "adam_step",
 ]
 
@@ -231,11 +231,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return record(a.data + b.data, (a, b), lambda g: (g, g.sum(axis=tuple(range(lead)))))
 
 
-def scale(x: Tensor, s: float) -> Tensor:
-    s = float(s)
-    return record(x.data * s, (x,), lambda g: (g * s,))
-
-
 def gelu(x: Tensor) -> Tensor:
     """Exact Gaussian-error-linear unit: x * Phi(x)."""
     xd = x.data
@@ -334,22 +329,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, pad: int = 0) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# normalization and softmax
-
-def softmax(x: Tensor, axis: int) -> Tensor:
-    xd = x.data
-    if not -xd.ndim <= axis < xd.ndim:
-        raise ValueError(f"softmax: axis {axis} invalid for rank {xd.ndim}")
-    shifted = xd - xd.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
-
-    def back(g):
-        dot = (g * y).sum(axis=axis, keepdims=True)
-        return ((g - dot) * y,)
-
-    return record(y, (x,), back)
-
+# normalization
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
     """Standardize along the last (channel) axis, then apply a per-channel affine."""
@@ -440,17 +420,23 @@ def split(x: Tensor, parts: int, axis: int):
 
 
 def mean(x: Tensor, axes) -> Tensor:
-    axes = tuple(sorted(a % x.data.ndim for a in axes))
-    count = 1
-    for a in axes:
-        count *= x.data.shape[a]
-    old = x.data.shape
+    """Mean over ``axes`` as a GEMV with a 1/count vector (``.mean`` over the
+    pool's middle axes runs C-wide inner loops); non-adjacent axes move last."""
+    xd, old = x.data, x.data.shape
+    axes = tuple(sorted(a % xd.ndim for a in axes))
+    lo, hi = axes[0], axes[-1] + 1
+    if hi - lo != len(axes):
+        lo, hi = xd.ndim - len(axes), xd.ndim
+        xd = _contig(np.moveaxis(xd, axes, range(lo, hi)))
+    count = math.prod(xd.shape[lo:hi])
+    avg = np.full(count, 1.0 / count, dtype=xd.dtype)
+    out = avg @ xd.reshape(math.prod(xd.shape[:lo]), count, -1)
 
     def back(g):
         gexp = np.expand_dims(g, axes)
         return (np.broadcast_to(gexp / count, old).copy(),)
 
-    return record(x.data.mean(axis=axes), (x,), back)
+    return record(out.reshape(xd.shape[:lo] + xd.shape[hi:]), (x,), back)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,17 @@
 """Straight-line reference implementations, kept independent of src/.
 
-These oracles are deliberately loop-based so they share no code path with the
-engine they check.
+The loop-based oracles share no code path with the engine they check. The
+unfused multi-scale attention at the end is the composition of taped
+primitives that ``padformer.attention.multiscale_attention`` replaced with one
+primitive; it keeps its own ``scale`` and ``softmax`` primitives, and the
+finite-difference suite checks them.
 """
 
+import math
+
 import numpy as np
+
+from padformer import tensor as T
 
 
 def conv2d_naive(x, w, b, stride, pad):
@@ -139,3 +146,68 @@ def multiscale_attention_naive(q, k, v, scales):
             fr, _, rows, cols = places[m]
             out[fr, hi * ch:(hi + 1) * ch, rows, cols] = attended.reshape(ch, ph, pw)
     return out
+
+
+def scale(x, s):
+    """Differentiable x * s for a Python float s."""
+    s = float(s)
+    return T.record(x.data * s, (x,), lambda g: (g * s,))
+
+
+def softmax(x, axis):
+    """Differentiable softmax along ``axis``, shifted by the row maximum."""
+    xd = x.data
+    if not -xd.ndim <= axis < xd.ndim:
+        raise ValueError(f"softmax: axis {axis} invalid for rank {xd.ndim}")
+    shifted = xd - xd.max(axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    y = e / e.sum(axis=axis, keepdims=True)
+
+    def back(g):
+        dot = (g * y).sum(axis=axis, keepdims=True)
+        return ((g - dot) * y,)
+
+    return T.record(y, (x,), back)
+
+
+def partition_taped(f, scale_):
+    """``attention.partition_patches`` as taped reshape/transpose on a Tensor."""
+    *lead, t, h, w, c = f.shape
+    ph, pw = h // scale_, w // scale_
+    g = T.reshape(f, (int(np.prod(lead)) * t, scale_, ph, scale_, pw, c))
+    g = T.transpose(g, (0, 1, 3, 2, 4, 5))
+    return T.reshape(g, tuple(lead) + (t * scale_ * scale_, ph * pw * c))
+
+
+def unpartition_taped(tokens, shape, scale_):
+    """``attention.unpartition_patches`` as taped reshape/transpose."""
+    *lead, t, h, w, c = shape
+    g = T.reshape(tokens, (int(np.prod(lead)) * t, scale_, scale_, h // scale_, w // scale_, c))
+    g = T.transpose(g, (0, 1, 3, 2, 4, 5))
+    return T.reshape(g, shape)
+
+
+def head_attention(q, k, v):
+    """Scaled dot-product attention over one head's ([B,] N, D) token Tensors;
+    returns the attended tokens and the weights."""
+    n = len(k.shape)
+    kt = T.transpose(k, tuple(range(n - 2)) + (n - 1, n - 2))
+    scores = scale(T.matmul(q, kt), 1.0 / math.sqrt(q.shape[-1]))
+    alpha = softmax(scores, axis=-1)
+    return T.matmul(alpha, v), alpha
+
+
+def multiscale_attention_unfused(qkv, scales):
+    """Multi-scale attention as taped primitives: split heads on channels,
+    partition, attend, unpartition, concat."""
+    q, k, v = qkv
+    if len(scales) > 1:
+        qs, ks, vs = (T.split(m, len(scales), -1) for m in (q, k, v))
+    else:
+        qs, ks, vs = [q], [k], [v]
+    maps = []
+    for i, l in enumerate(scales):
+        attended, _ = head_attention(partition_taped(qs[i], l), partition_taped(ks[i], l),
+                                     partition_taped(vs[i], l))
+        maps.append(unpartition_taped(attended, qs[i].shape, l))
+    return maps[0] if len(maps) == 1 else T.concat(maps, axis=-1)

@@ -27,7 +27,7 @@ from padformer.model import (ModelConfig, cross_entropy, forward, init_params,
 from padformer.synth import generate_dataset, split_records
 
 from gradcheck import assert_grad_close, numeric_grad, scalarize
-from oracles import metrics_recount, multiscale_attention_naive
+from oracles import metrics_recount, multiscale_attention_naive, scale, softmax
 
 # the experiment configs that `padformer ablate --config` also runs
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -71,11 +71,14 @@ def test_criterion_1_gradient_suite(capsys):
 
     p3, p6, p8, p12, p15, p16, p96, p192 = (
         r(n) for n in (3, 6, 8, 12, 15, 16, 96, 192))
+    # q, k, v and the projection of the attention case, drawn apart from `rng`
+    # so that every other case keeps its inputs
+    attn = np.random.default_rng(1).normal(size=(4, 2, 2, 4, 4, 2))
     cases = [
         ("add", lambda a, b: scalarize(T.add(a, b), p6), [r(2, 3), r(2, 3)]),
         ("add bias broadcast", lambda a, b: scalarize(T.add(a, b), p12),
          [r(2, 2, 3), r(3)]),
-        ("scale", lambda a: scalarize(T.scale(a, -1.7), p6), [r(2, 3)]),
+        ("scale", lambda a: scalarize(scale(a, -1.7), p6), [r(2, 3)]),
         ("gelu", lambda a: scalarize(T.gelu(a), p6), [r(2, 3)]),
         ("matmul", lambda a, b: scalarize(T.matmul(a, b), p6),
          [r(3, 4), r(4, 2)]),
@@ -91,7 +94,7 @@ def test_criterion_1_gradient_suite(capsys):
         ("conv2d [B, T] batch", lambda x, w, b: scalarize(
             T.conv2d(x, w, b, pad=1), p192),
          [_channels_last(r(2, 2, 2, 4, 4)), r(3, 2, 3, 3), r(3)]),
-        ("softmax", lambda a: scalarize(T.softmax(a, axis=1), p15),
+        ("softmax", lambda a: scalarize(softmax(a, axis=1), p15),
          [r(3, 5)]),
         ("layer_norm", lambda x, g, b: scalarize(
             T.layer_norm(x, g, b), p12), [r(3, 4), r(4), r(4)]),
@@ -105,6 +108,9 @@ def test_criterion_1_gradient_suite(capsys):
          [r(2, 3, 4)]),
         ("cross_entropy", lambda z: cross_entropy(z, 1), [r(2)]),
         ("cross_entropy batch", lambda z: cross_entropy(z, [1, 0, 1]), [r(3, 2)]),
+        # the attention primitive on a batch of two clips, heads at scales 1 and 2
+        ("multiscale_attention", lambda q, k, v: scalarize(
+            multiscale_attention((q, k, v), (1, 2)), attn[3]), list(attn[:3])),
     ]
     for name, build, arrays in cases:
         try:
@@ -168,10 +174,10 @@ def test_criterion_3_patch_accounting(capsys):
     ok = True
     for t in (1, 2, 4, 8):
         for l in (1, 2, 4):
-            f = T.tensor(rng.normal(size=(t, 2, 8, 8)).transpose(0, 2, 3, 1))
+            f = _channels_last(rng.normal(size=(t, 2, 8, 8))).astype(np.float32)
             ok = ok and partition_patches(f, l).shape[-2] == t * l * l
     eight = [partition_patches(
-        T.tensor(rng.normal(size=(8, 2, 8, 8)).transpose(0, 2, 3, 1)), l).shape[-2]
+        _channels_last(rng.normal(size=(8, 2, 8, 8))).astype(np.float32), l).shape[-2]
         for l in (1, 2, 4)]
     ok = ok and eight == [8, 32, 128]
     report(capsys, 3, ok,
@@ -276,10 +282,10 @@ def test_criterion_8_invariance_suite(capsys):
     perm_err = float(np.abs(base - flip).max())
 
     # (c) partition / reassemble round-trip is bitwise
-    f = T.tensor(rng.normal(size=(2, 6, 8, 8)).transpose(0, 2, 3, 1))
+    f = _channels_last(rng.normal(size=(2, 6, 8, 8))).astype(np.float32)
     bitwise = all(
-        unpartition_patches(partition_patches(f, l), f.shape, l).data.tobytes()
-        == f.data.tobytes() for l in (1, 2, 4))
+        unpartition_patches(partition_patches(f, l), f.shape, l).tobytes()
+        == f.tobytes() for l in (1, 2, 4))
 
     # (d) same seed, same data: byte-identical training logs
     run_cfg = RunConfig(frames=2, height=16, width=16, embed_stride=8,

@@ -1,4 +1,5 @@
-"""Multi-scale attention: partition bookkeeping, oracle equivalence, rollout."""
+"""Multi-scale attention: partition bookkeeping, oracle equivalence, the
+primitive's gradients against the unfused composition, rollout."""
 
 import itertools
 
@@ -9,12 +10,14 @@ from hypothesis import strategies as st
 
 from padformer import tensor as T
 from padformer.attention import (AttentionRecord, attention_rollout,
-                                 head_attention, multiscale_attention,
-                                 partition_patches, short_long_masks,
-                                 unpartition_patches, upsample_nearest)
+                                 multiscale_attention, partition_patches,
+                                 short_long_masks, unpartition_patches,
+                                 upsample_nearest)
 from padformer.tensor import ShapeError
 
-from oracles import multiscale_attention_naive
+from gradcheck import scalarize
+from oracles import (head_attention, multiscale_attention_naive,
+                     multiscale_attention_unfused, partition_taped, unpartition_taped)
 
 
 def rand_map(rng, t, c, h, w):
@@ -46,12 +49,12 @@ def record_for(n, scale, alpha=None):
 @pytest.mark.parametrize("t", [1, 2, 4, 8])
 @pytest.mark.parametrize("l", [1, 2, 4])
 def test_patch_count_is_frames_times_scale_squared(t, l):
-    f = T.tensor(np.zeros((t, 8, 8, 2)))
+    f = np.zeros((t, 8, 8, 2))
     assert partition_patches(f, l).shape == (t * l * l, 2 * (8 // l) * (8 // l))
 
 
 def test_patch_counts_for_eight_frames():
-    f = T.tensor(np.zeros((8, 8, 8, 3)))
+    f = np.zeros((8, 8, 8, 3))
     assert partition_patches(f, 1).shape[-2] == 8
     assert partition_patches(f, 2).shape[-2] == 32
     assert partition_patches(f, 4).shape[-2] == 128
@@ -59,7 +62,7 @@ def test_patch_counts_for_eight_frames():
 
 def test_partition_order_and_bookkeeping():
     # frame-major then grid row then grid column
-    n = partition_patches(T.tensor(np.zeros((2, 4, 4, 1))), 2).shape[-2]
+    n = partition_patches(np.zeros((2, 4, 4, 1)), 2).shape[-2]
     rec = record_for(n, scale=2)
     assert rec.frame_of.tolist() == [0, 0, 0, 0, 1, 1, 1, 1]
     assert rec.cell_of[:4].tolist() == [[0, 0], [0, 1], [1, 0], [1, 1]]
@@ -68,7 +71,7 @@ def test_partition_order_and_bookkeeping():
 
 def test_partition_token_contents():
     x = np.arange(2 * 4 * 4 * 2, dtype=np.float32).reshape(2, 4, 4, 2)
-    tokens = partition_patches(T.tensor(x), 2).data
+    tokens = partition_patches(x, 2)
     # token 1 is frame 0, grid cell (0, 1): rows 0..1, cols 2..3, in
     # (row, column, channel) order
     assert np.array_equal(tokens[1], x[0, 0:2, 2:4, :].reshape(-1))
@@ -87,7 +90,7 @@ def test_partition_order_matches_record_bookkeeping(seed, t, scale, channels, ce
     side = scale * cell
     lead = () if batch is None else (batch,)
     x = T.tensor(rng.normal(size=lead + (t, side, side, channels)), dtype=np.float64)
-    tokens = partition_patches(x, scale).data
+    tokens = partition_patches(x.data, scale)
     recs = []
     multiscale_attention((x, x, x), (scale,), records=recs)
     assert [r.clip for r in recs] == list(range(batch or 1))
@@ -104,18 +107,17 @@ def test_partition_order_matches_record_bookkeeping(seed, t, scale, channels, ce
 @pytest.mark.parametrize("t,l", [(1, 1), (2, 2), (4, 4), (3, 2)])
 def test_partition_unpartition_round_trip_bitwise(t, l):
     rng = np.random.default_rng(t * 10 + l)
-    x = T.tensor(rng.normal(size=(t, 8, 8, 3)))
-    assert np.array_equal(unpartition_patches(partition_patches(x, l), x.shape, l).data,
-                          x.data)
+    x = rng.normal(size=(t, 8, 8, 3)).astype(np.float32)
+    assert np.array_equal(unpartition_patches(partition_patches(x, l), x.shape, l), x)
 
 
 def test_partition_rejects_indivisible_extent():
     with pytest.raises(ShapeError):
-        partition_patches(T.tensor(np.zeros((1, 6, 6, 2))), 4)
+        partition_patches(np.zeros((1, 6, 6, 2)), 4)
 
 
 def test_unpartition_rejects_tokens_of_another_map():
-    tokens = partition_patches(rand_map(np.random.default_rng(8), 2, 2, 4, 4), 1)
+    tokens = partition_patches(rand_map(np.random.default_rng(8), 2, 2, 4, 4).data, 1)
     with pytest.raises(ShapeError):
         unpartition_patches(tokens, (2, 8, 8, 2), 2)
 
@@ -124,10 +126,10 @@ def test_unpartition_rejects_tokens_of_another_map():
 
 def test_single_token_attention_is_identity():
     q, k, v = rand_qkv(0, 1, 2, 3, 3)
-    out, alpha = head_attention(partition_patches(q, 1), partition_patches(k, 1),
-                                partition_patches(v, 1))
-    assert np.array_equal(alpha.data, np.array([[1.0]]))
-    assert np.array_equal(out.data, partition_patches(v, 1).data)
+    recs = []
+    out = multiscale_attention((q, k, v), (1,), records=recs)
+    assert np.array_equal(recs[0].alpha, np.array([[1.0]]))
+    assert np.array_equal(out.data, v.data)
 
 
 def test_uniform_keys_average_the_values():
@@ -135,10 +137,10 @@ def test_uniform_keys_average_the_values():
     frame = rng.normal(size=(1, 2, 4, 4))
     k = T.tensor(np.broadcast_to(frame, (4, 2, 4, 4)).transpose(0, 2, 3, 1), dtype=np.float64)
     q, _, v = rand_qkv(2, 4, 2, 4, 4)
-    out, alpha = head_attention(partition_patches(q, 1), partition_patches(k, 1),
-                                partition_patches(v, 1))
-    assert np.allclose(alpha.data, 0.25)
-    want = partition_patches(v, 1).data.mean(axis=0)
+    recs = []
+    out = multiscale_attention((q, k, v), (1,), records=recs)
+    assert np.allclose(recs[0].alpha, 0.25)
+    want = v.data.mean(axis=0)
     assert np.allclose(out.data, np.broadcast_to(want, out.shape), atol=1e-12)
 
 
@@ -151,22 +153,22 @@ def test_head_attention_matches_double_loop_oracle():
 
 
 def test_head_attention_rejects_mismatched_token_sets():
+    # the unfused oracle's head attention; the primitive checks its maps up front
     q, k, v = rand_qkv(4, 2, 2, 4, 4)
     with pytest.raises(ShapeError):
-        head_attention(partition_patches(q, 2), partition_patches(k, 1),
-                       partition_patches(v, 2))
+        head_attention(partition_taped(q, 2), partition_taped(k, 1), partition_taped(v, 2))
 
 
 # -------------------------------------------------------------- reassembly
 
 def test_reassemble_single_full_frame_head_is_identity():
     # one full-frame head: the module's output is that head's attended
-    # tokens put back in place, with no concat
+    # tokens (the unfused oracle's) put back in place, with no concat
     q, k, v = rand_qkv(5, 2, 3, 4, 4)
-    att, _ = head_attention(partition_patches(q, 1), partition_patches(k, 1),
-                            partition_patches(v, 1))
+    att, _ = head_attention(partition_taped(q, 1), partition_taped(k, 1),
+                            partition_taped(v, 1))
     assert np.array_equal(multiscale_attention((q, k, v), (1,)).data,
-                          unpartition_patches(att, v.shape, 1).data)
+                          unpartition_taped(att, v.shape, 1).data)
 
 
 def test_reassemble_concatenates_channels():
@@ -183,10 +185,10 @@ def test_reassemble_concatenates_channels():
 def test_identity_attention_round_trip_bitwise():
     # partition -> alpha = I -> reassemble reproduces the value map exactly
     rng = np.random.default_rng(7)
-    v = rand_map(rng, 2, 3, 4, 4)
+    v = rand_map(rng, 2, 3, 4, 4).data
     tokens = partition_patches(v, 2)
-    attended = T.matmul(T.tensor(np.eye(tokens.shape[-2]), dtype=np.float64), tokens)
-    assert np.array_equal(unpartition_patches(attended, v.shape, 2).data, v.data)
+    attended = np.eye(tokens.shape[-2]) @ tokens
+    assert np.array_equal(unpartition_patches(attended, v.shape, 2), v)
 
 
 # ------------------------------------------------------------- full module
@@ -232,16 +234,17 @@ def test_oracle_equivalence_grid(t, scales):
 
 
 def test_serial_equals_per_head_schedule_bitwise():
-    # heads are independent; assembling them one by one matches the fused path
+    # heads are independent; assembling the unfused oracle's heads one by one
+    # matches the primitive
     q, k, v = rand_qkv(12, 2, 6, 4, 4)
     scales = (1, 2)
     fused = multiscale_attention((q, k, v), scales)
     parts = []
     qs, ks, vs = (T.split(m, 2, -1) for m in (q, k, v))
     for i, l in enumerate(scales):
-        att, _ = head_attention(partition_patches(qs[i], l), partition_patches(ks[i], l),
-                                partition_patches(vs[i], l))
-        parts.append(unpartition_patches(att, qs[i].shape, l))
+        att, _ = head_attention(partition_taped(qs[i], l), partition_taped(ks[i], l),
+                                partition_taped(vs[i], l))
+        parts.append(unpartition_taped(att, qs[i].shape, l))
     assert np.array_equal(T.concat(parts, axis=-1).data, fused.data)
 
 
@@ -250,6 +253,62 @@ def test_module_rejects_mismatched_maps():
     bad = T.tensor(np.zeros((2, 8, 8, 6)))
     with pytest.raises(ShapeError):
         multiscale_attention((q, k, bad), (1,))
+
+
+# ------------------------------- the primitive against the unfused oracle
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000), t=st.sampled_from([1, 2, 4]),
+       scales=st.sampled_from(SCALE_SETS), batch=st.sampled_from([1, 2]))
+def test_primitive_gradients_match_the_unfused_composition(seed, t, scales, batch):
+    rng = np.random.default_rng(seed)
+    shape = (batch, t, 4, 4, 6 * len(scales) if len(scales) == 3 else 6)
+    arrays = [rng.normal(size=shape) for _ in range(3)]
+    proj = rng.normal(size=int(np.prod(shape)))
+    results = []
+    for fn in (multiscale_attention, multiscale_attention_unfused):
+        qkv = tuple(T.param(a) for a in arrays)
+        with T.Tape():
+            out = fn(qkv, tuple(scales))
+            T.backward(scalarize(out, proj))
+        results.append([out.data] + [m.grad for m in qkv])
+    for name, got, want in zip(("output", "dq", "dk", "dv"), *results):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-10, err_msg=name)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10_000), t=st.sampled_from([1, 2, 4]),
+       scales=st.sampled_from(SCALE_SETS), batch=st.sampled_from([None, 1, 2]))
+def test_float32_forward_is_bitwise_the_unfused_composition(seed, t, scales, batch):
+    rng = np.random.default_rng(seed)
+    lead = () if batch is None else (batch,)
+    shape = lead + (t, 4, 4, 6 * len(scales) if len(scales) == 3 else 6)
+    qkv = tuple(T.tensor(rng.normal(size=shape), dtype=np.float32) for _ in range(3))
+    assert np.array_equal(multiscale_attention(qkv, tuple(scales)).data,
+                          multiscale_attention_unfused(qkv, tuple(scales)).data)
+
+
+@pytest.mark.parametrize("shape,scales", [((16, 8, 4, 4, 12), (1, 2)),
+                                          ((16, 16, 4, 4, 12), (1, 2, 4)),
+                                          ((1, 8, 16, 16, 12), (1,))],
+                         ids=["default", "longclip", "hires"])
+def test_float32_forward_is_bitwise_the_unfused_composition_at_model_shapes(shape, scales):
+    # the benchmark workloads' attention inputs, where BLAS sums a transposed
+    # view of k in another order than a contiguous k^T
+    rng = np.random.default_rng(18)
+    qkv = tuple(T.tensor(rng.normal(size=shape), dtype=np.float32) for _ in range(3))
+    assert np.array_equal(multiscale_attention(qkv, scales).data,
+                          multiscale_attention_unfused(qkv, scales).data)
+
+
+@pytest.mark.parametrize("scales", SCALE_SETS, ids=str)
+def test_one_call_records_one_tape_node(scales):
+    c = 6 * len(scales) if len(scales) == 3 else 6
+    qkv = tuple(T.param(m.data) for m in rand_qkv(17, 2, c, 4, 4))
+    with T.Tape() as tape:
+        out = multiscale_attention(qkv, tuple(scales), records=[])
+        assert len(tape.nodes) == 1
+        assert tape.nodes[0].out is out and tape.nodes[0].parents == qkv
 
 
 # ----------------------------------------------------- invariants
@@ -269,7 +328,7 @@ def test_attention_rows_are_stochastic(seed, t, scales):
 
 
 def test_short_and_long_range_masks_partition_the_scores():
-    n = partition_patches(T.tensor(np.zeros((2, 4, 4, 2))), 2).shape[-2]
+    n = partition_patches(np.zeros((2, 4, 4, 2)), 2).shape[-2]
     same, cross = short_long_masks(record_for(n, scale=2).frame_of)
     assert same.shape == (8, 8)
     assert np.all(same ^ cross)
