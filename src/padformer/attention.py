@@ -1,8 +1,10 @@
 """Multi-scale multi-head self-attention over patches stacked across frames.
 
-Each head partitions its channel slice of the Q/K/V maps into an l x l grid
-per frame (l is the head's scale divisor), flattens every grid cell into one
-token, and stacks the tokens of all T frames into a single sequence of
+One 3x3 convolution projects a layer's input into a single [..., 3C] map of
+q, k and v at channel offsets 0, C and 2C; this module writes that order and
+reads it. Each head partitions its channel slice of q, k and v into an l x l
+grid per frame (l is the head's scale divisor), flattens every grid cell into
+one token, and stacks the tokens of all T frames into a single sequence of
 N = T * l**2 patches. Attention therefore mixes same-frame pairs (short-range,
 spatial) and cross-frame pairs (long-range, temporal) inside one score matrix.
 Attended patches are placed back at their frame/grid positions, each head in
@@ -74,26 +76,42 @@ def unpartition_patches(tokens: np.ndarray, shape: tuple, scale: int) -> np.ndar
     return g.reshape(shape)
 
 
-def multiscale_attention(qkv, scales, records: list | None = None,
+def conv_project(x: Tensor, wq, bq, wk, bk, wv, bv) -> Tensor:
+    """The [q | k | v] map of three 3x3 stride-1 convolutions, run as one.
+
+    The kernels and biases are concatenated at forward time into one
+    convolution with 3C outputs (one im2col copy and one GEMM); its
+    [..., 3C] map goes to ``multiscale_attention`` whole. The parameters
+    stay three tensors, so the checkpoint keeps them apart; their gradients
+    flow back through ``concat``.
+    """
+    w = tt.concat([wq, wk, wv], axis=0)
+    b = tt.concat([bq, bk, bv], axis=0)
+    return tt.conv2d(x, w, b, pad=1)
+
+
+def multiscale_attention(qkv: Tensor, scales, records: list | None = None,
                          layer: int = 0) -> Tensor:
     """Full multi-scale attention as one primitive with a hand-written backward.
 
-    ``qkv`` holds three [T, H, W, C] (or [B, T, H, W, C]) maps and ``scales``
-    one grid divisor per head; head i owns channel slice i of the maps and of
-    the output, which the caller adds residually. When ``records`` is given,
-    one ``AttentionRecord`` per head and clip is appended to it.
+    ``qkv`` is one [T, H, W, 3C] (or [B, T, H, W, 3C]) map with q, k and v at
+    channel offsets 0, C and 2C, and ``scales`` one grid divisor per head;
+    head i owns channel slice i of q, k, v and of the [..., C] output, which
+    the caller adds residually. When ``records`` is given, one
+    ``AttentionRecord`` per head and clip is appended to it.
     """
-    q, k, v = qkv
-    if q.shape != k.shape or k.shape != v.shape:
-        raise ShapeError(f"q/k/v maps disagree: {q.shape}, {k.shape}, {v.shape}")
-    shape = q.shape
-    width = shape[-1] // len(scales)
-    head_shape = shape[:-1] + (width,)
-    out = np.empty(shape, dtype=q.dtype)
+    lead, c3 = qkv.shape[:-1], qkv.shape[-1]
+    heads = len(scales)
+    if not heads or c3 == 0 or c3 % (3 * heads):
+        raise ShapeError(f"multiscale_attention: {c3} channels are not q, k, v over {heads} heads")
+    width = c3 // (3 * heads)
+    # head i's q, k and v are [..., 0, i, :], [..., 1, i, :] and [..., 2, i, :]
+    parts = qkv.data.reshape(lead + (3, heads, width))
+    head_shape = lead + (width,)
+    out = np.empty(lead + (heads, width), dtype=qkv.dtype)
     saved = []
     for i, l in enumerate(scales):
-        sl = np.s_[..., i * width:(i + 1) * width]
-        qt, kt, vt = (partition_patches(m.data[sl], l) for m in qkv)
+        qt, kt, vt = (partition_patches(parts[..., j, i, :], l) for j in range(3))
         s = 1.0 / math.sqrt(qt.shape[-1])   # 1/sqrt(D) as a Python float keeps float32
         # a contiguous k^T: BLAS sums over a transposed view in another order
         alpha = qt @ np.ascontiguousarray(np.swapaxes(kt, -1, -2))
@@ -102,30 +120,31 @@ def multiscale_attention(qkv, scales, records: list | None = None,
         np.exp(alpha, out=alpha)
         alpha /= alpha.sum(axis=-1, keepdims=True)
         ot = alpha @ vt
-        out[sl] = unpartition_patches(ot, head_shape, l)
-        saved.append((sl, l, s, qt, kt, vt, alpha, ot))
+        out[..., i, :] = unpartition_patches(ot, head_shape, l)
+        saved.append((l, s, qt, kt, vt, alpha, ot))
         if records is not None:
             records.extend(
                 AttentionRecord(layer=layer, head=i, scale=l, alpha=weights.copy(),
-                                map_h=shape[-3], map_w=shape[-2], clip=clip)
+                                map_h=lead[-2], map_w=lead[-1], clip=clip)
                 for clip, weights in enumerate(alpha.reshape((-1,) + alpha.shape[-2:])))
 
     def back(g):
         # softmax backward without an [N, N] product for its row sums:
         # rowsum(dalpha * alpha) = rowsum(go * o) (Dao et al. 2022)
-        grads = [np.empty_like(out) for _ in range(3)]
-        for sl, l, s, qt, kt, vt, alpha, ot in saved:
-            go = partition_patches(g[sl], l)
+        g = g.reshape(out.shape)
+        grad = np.empty_like(parts)
+        for i, (l, s, qt, kt, vt, alpha, ot) in enumerate(saved):
+            go = partition_patches(g[..., i, :], l)
             da = go @ np.swapaxes(vt, -1, -2)
             da -= (go * ot).sum(axis=-1, keepdims=True)
             da *= alpha
             tokens = (s * (da @ kt), s * (np.swapaxes(da, -1, -2) @ qt),
                       np.swapaxes(alpha, -1, -2) @ go)
-            for grad, t in zip(grads, tokens):
-                grad[sl] = unpartition_patches(t, head_shape, l)
-        return tuple(grads)
+            for j, t in enumerate(tokens):
+                grad[..., j, i, :] = unpartition_patches(t, head_shape, l)
+        return (grad.reshape(qkv.shape),)
 
-    return tt.record(out, (q, k, v), back)
+    return tt.record(out.reshape(lead + (heads * width,)), (qkv,), back)
 
 
 def short_long_masks(frame_of: np.ndarray):

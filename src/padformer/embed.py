@@ -1,10 +1,10 @@
-"""Convolutional tokenization of video frames and Q/K/V projection.
+"""Convolutional tokenization of video frames and the feed-forward stage.
 
 A clip is tokenized per frame by a single non-overlapping convolution (kernel
 extent equal to its stride), run as a patchify matmul, producing a token map
-without any positional encoding. Q, K and V come from one shape-preserving
-3x3 convolution with 3C outputs, split into three maps, and the transformer's
-feed-forward block is a pair of 1x1 convolutions. No operation here owns
+without any positional encoding, and the transformer's feed-forward block is
+a pair of 1x1 convolutions (the Q/K/V projection lives with the attention
+that reads its channel order, in ``attention.py``). No operation here owns
 positional parameters. Token maps are channels-last ([B, T, H, W, C] for B
 clips); the convolutions fold the leading axes into one batch. Kernel shapes
 are fixed by ``model.parameter_shapes`` and checked where weights enter
@@ -48,20 +48,6 @@ def conv_token_embed(frames: np.ndarray, w: Tensor, b: Tensor, stride: int) -> T
     wmat = tt.transpose(tt.reshape(w, (w.shape[0], cin * s * s)), (1, 0))
     tokens = tt.add(tt.matmul(cols, wmat), b)
     return tt.reshape(tokens, lead + (h // s, wid // s, w.shape[0]))
-
-
-def conv_project(x: Tensor, wq, bq, wk, bk, wv, bv) -> tuple:
-    """The (q, k, v) maps of three 3x3 stride-1 convolutions, run as one.
-
-    The kernels and biases are concatenated at forward time into one
-    convolution with 3C outputs (one im2col copy and one GEMM), whose map is
-    split on the channel axis into q, k and v, each of the input shape. The
-    parameters stay three tensors, so the checkpoint keeps them apart; their
-    gradients flow back through ``concat``.
-    """
-    w = tt.concat([wq, wk, wv], axis=0)
-    b = tt.concat([bq, bk, bv], axis=0)
-    return tuple(tt.split(tt.conv2d(x, w, b, pad=1), 3, axis=-1))
 
 
 def conv_ffn(y: Tensor, w1, b1, w2, b2) -> Tensor:

@@ -1,14 +1,14 @@
 """End-to-end video anti-spoofing classifier.
 
 A clip [T, 3, H, W] is tokenized per frame by a strided convolution, passed
-through ``depth`` transformer layers (convolutional Q/K/V projection,
-multi-scale attention with residual, channel norm, convolutional feed-forward
-with residual), mean-pooled over frames and space, and mapped linearly to two
-logits (attack / bona fide). No class token and no positional encoding; the
-convolutions carry all spatial structure, so logits are invariant to frame
-order. A batch of B clips [B, T, 3, H, W] runs as one graph whose activations
-stay channels-last, [B, T, H, W, C], from the embed to the pool; each head
-attends clip by clip in one batched matmul, and a single clip is B=1.
+through ``depth`` transformer layers (a convolution projecting one [q | k | v]
+map, multi-scale attention on it with residual, channel norm, convolutional
+feed-forward with residual), mean-pooled over frames and space, and mapped
+linearly to two logits (attack / bona fide). No class token and no positional
+encoding; the convolutions carry all spatial structure, so logits are
+invariant to frame order. A batch of B clips [B, T, 3, H, W] runs as one graph
+whose activations stay channels-last, [B, T, H, W, C], from the embed to the
+pool; each head attends clip by clip in one batched matmul; one clip is B=1.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from scipy.stats import truncnorm
 
 from . import tensor as tt
 from . import vpt
-from .attention import multiscale_attention
-from .embed import VideoClip, conv_ffn, conv_project, conv_token_embed
+from .attention import conv_project, multiscale_attention
+from .embed import VideoClip, conv_ffn, conv_token_embed
 from .rng import stream
 from .tensor import AdamState, ShapeError, Tensor, adam_step
 

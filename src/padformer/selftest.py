@@ -18,10 +18,9 @@ from .tensor import AdamState
 
 def _check_attention_rows_stochastic():
     rng = np.random.default_rng(0)
-    q, k, v = (tt.tensor(rng.normal(size=(2, 6, 4, 4)).transpose(0, 2, 3, 1),
-                         dtype=np.float64) for _ in range(3))
+    qkv = tt.tensor(rng.normal(size=(2, 4, 4, 18)), dtype=np.float64)   # q, k, v of 6 channels
     recs = []
-    multiscale_attention((q, k, v), (1, 2), records=recs)
+    multiscale_attention(qkv, (1, 2), records=recs)
     for r in recs:
         if not np.allclose(r.alpha.sum(axis=1), 1.0, atol=1e-8) or np.any(r.alpha < 0):
             return "attention rows not stochastic"

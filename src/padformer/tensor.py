@@ -25,7 +25,7 @@ from scipy.special import erf
 __all__ = [
     "Tensor", "Tape", "ShapeError", "tensor", "param", "record", "backward",
     "add", "gelu", "matmul", "conv2d",
-    "layer_norm", "reshape", "transpose", "concat", "split",
+    "layer_norm", "reshape", "transpose", "concat",
     "mean", "AdamState", "adam_step",
 ]
 
@@ -393,30 +393,6 @@ def concat(parts, axis: int) -> Tensor:
         return tuple(np.ascontiguousarray(piece) for piece in np.split(g, bounds, axis=axis))
 
     return record(np.concatenate([p.data for p in parts], axis=axis), tuple(parts), back)
-
-
-def split(x: Tensor, parts: int, axis: int):
-    """Split into ``parts`` equal slices along ``axis``; inverse of concat."""
-    axis = axis % x.data.ndim
-    n = x.data.shape[axis]
-    if n % parts != 0:
-        raise ShapeError(f"split: extent {n} not divisible into {parts} parts")
-    step = n // parts
-    outs = []
-    sl = [slice(None)] * x.data.ndim
-    for k in range(parts):
-        sl[axis] = slice(k * step, (k + 1) * step)
-        piece = np.ascontiguousarray(x.data[tuple(sl)])
-
-        def back(g, _k=k):
-            gx = np.zeros_like(x.data)
-            isl = [slice(None)] * x.data.ndim
-            isl[axis] = slice(_k * step, (_k + 1) * step)
-            gx[tuple(isl)] = g
-            return (gx,)
-
-        outs.append(record(piece, (x,), back))
-    return outs
 
 
 def mean(x: Tensor, axes) -> Tensor:

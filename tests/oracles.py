@@ -3,8 +3,8 @@
 The loop-based oracles share no code path with the engine they check. The
 unfused multi-scale attention at the end is the composition of taped
 primitives that ``padformer.attention.multiscale_attention`` replaced with one
-primitive; it keeps its own ``scale`` and ``softmax`` primitives, and the
-finite-difference suite checks them.
+primitive; it keeps its own ``scale``, ``softmax`` and ``split`` primitives,
+and the finite-difference suite checks them.
 """
 
 import math
@@ -170,6 +170,28 @@ def softmax(x, axis):
     return T.record(y, (x,), back)
 
 
+def split(x, parts, axis):
+    """Differentiable split into ``parts`` equal slices along ``axis``; inverse
+    of concat. Each slice's gradient is written into a zero array of the
+    input's shape."""
+    axis = axis % x.data.ndim
+    n = x.data.shape[axis]
+    if n % parts != 0:
+        raise T.ShapeError(f"split: extent {n} not divisible into {parts} parts")
+    step = n // parts
+    outs = []
+    for k in range(parts):
+        sl = (slice(None),) * axis + (slice(k * step, (k + 1) * step),)
+
+        def back(g, sl=sl):
+            gx = np.zeros_like(x.data)
+            gx[sl] = g
+            return (gx,)
+
+        outs.append(T.record(np.ascontiguousarray(x.data[sl]), (x,), back))
+    return outs
+
+
 def partition_taped(f, scale_):
     """``attention.partition_patches`` as taped reshape/transpose on a Tensor."""
     *lead, t, h, w, c = f.shape
@@ -198,11 +220,12 @@ def head_attention(q, k, v):
 
 
 def multiscale_attention_unfused(qkv, scales):
-    """Multi-scale attention as taped primitives: split heads on channels,
-    partition, attend, unpartition, concat."""
-    q, k, v = qkv
+    """Multi-scale attention as taped primitives on a fused [..., 3C] map:
+    split it into q, k and v, split heads on channels, partition, attend,
+    unpartition, concat."""
+    q, k, v = split(qkv, 3, -1)
     if len(scales) > 1:
-        qs, ks, vs = (T.split(m, len(scales), -1) for m in (q, k, v))
+        qs, ks, vs = (split(m, len(scales), -1) for m in (q, k, v))
     else:
         qs, ks, vs = [q], [k], [v]
     maps = []

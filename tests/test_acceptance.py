@@ -27,7 +27,7 @@ from padformer.model import (ModelConfig, cross_entropy, forward, init_params,
 from padformer.synth import generate_dataset, split_records
 
 from gradcheck import assert_grad_close, numeric_grad, scalarize
-from oracles import metrics_recount, multiscale_attention_naive, scale, softmax
+from oracles import metrics_recount, multiscale_attention_naive, scale, softmax, split
 
 # the experiment configs that `padformer ablate --config` also runs
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -74,6 +74,7 @@ def test_criterion_1_gradient_suite(capsys):
     # q, k, v and the projection of the attention case, drawn apart from `rng`
     # so that every other case keeps its inputs
     attn = np.random.default_rng(1).normal(size=(4, 2, 2, 4, 4, 2))
+    qkv = np.concatenate(list(attn[:3]), axis=-1)          # one [q | k | v] map
     cases = [
         ("add", lambda a, b: scalarize(T.add(a, b), p6), [r(2, 3), r(2, 3)]),
         ("add bias broadcast", lambda a, b: scalarize(T.add(a, b), p12),
@@ -103,14 +104,14 @@ def test_criterion_1_gradient_suite(capsys):
          [r(2, 2, 2)]),
         ("concat", lambda a, b: scalarize(T.concat([a, b], axis=1), p16),
          [r(2, 3), r(2, 5)]),
-        ("split", lambda a: scalarize(T.split(a, 2, 1)[1], p6), [r(2, 6)]),
+        ("split", lambda a: scalarize(split(a, 2, 1)[1], p6), [r(2, 6)]),
         ("mean", lambda a: scalarize(T.mean(a, axes=(0, 2)), p3),
          [r(2, 3, 4)]),
         ("cross_entropy", lambda z: cross_entropy(z, 1), [r(2)]),
         ("cross_entropy batch", lambda z: cross_entropy(z, [1, 0, 1]), [r(3, 2)]),
         # the attention primitive on a batch of two clips, heads at scales 1 and 2
-        ("multiscale_attention", lambda q, k, v: scalarize(
-            multiscale_attention((q, k, v), (1, 2)), attn[3]), list(attn[:3])),
+        ("multiscale_attention", lambda m: scalarize(
+            multiscale_attention(m, (1, 2)), attn[3]), [qkv]),
     ]
     for name, build, arrays in cases:
         try:
@@ -154,7 +155,8 @@ def test_criterion_2_attention_oracle(capsys):
             c = 6 * len(scales) if len(scales) == 3 else 6
             q, k, v = (rng.normal(size=(t, c, 4, 4)) for _ in range(3))
             got = multiscale_attention(
-                tuple(T.tensor(m.transpose(0, 2, 3, 1), dtype=np.float64) for m in (q, k, v)),
+                T.tensor(np.concatenate([m.transpose(0, 2, 3, 1) for m in (q, k, v)], axis=-1),
+                         dtype=np.float64),
                 tuple(scales))
             want = multiscale_attention_naive(q, k, v, scales)
             worst = max(worst, float(np.abs(got.data.transpose(0, 3, 1, 2) - want).max()))

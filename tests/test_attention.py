@@ -17,7 +17,8 @@ from padformer.tensor import ShapeError
 
 from gradcheck import scalarize
 from oracles import (head_attention, multiscale_attention_naive,
-                     multiscale_attention_unfused, partition_taped, unpartition_taped)
+                     multiscale_attention_unfused, partition_taped, split,
+                     unpartition_taped)
 
 
 def rand_map(rng, t, c, h, w):
@@ -25,14 +26,25 @@ def rand_map(rng, t, c, h, w):
     return T.tensor(rng.normal(size=(t, c, h, w)).transpose(0, 2, 3, 1), dtype=np.float64)
 
 
+def fuse(q, k, v):
+    """The [..., 3C] map of three channels-last arrays, in [q | k | v] order."""
+    return T.tensor(np.concatenate([q, k, v], axis=-1), dtype=np.float64)
+
+
+def thirds(qkv):
+    """The q, k and v arrays of a fused map."""
+    return np.split(qkv.data, 3, axis=-1)
+
+
 def rand_qkv(seed, t, c, h, w):
+    """A fused [T, H, W, 3C] map of three C-channel normal draws."""
     rng = np.random.default_rng(seed)
-    return tuple(rand_map(rng, t, c, h, w) for _ in range(3))
+    return fuse(*(rand_map(rng, t, c, h, w).data for _ in range(3)))
 
 
-def naive(q, k, v, scales):
-    """The channels-first loop oracle, applied to channels-last maps."""
-    out = multiscale_attention_naive(*(m.data.transpose(0, 3, 1, 2) for m in (q, k, v)),
+def naive(qkv, scales):
+    """The channels-first loop oracle, applied to a fused channels-last map."""
+    out = multiscale_attention_naive(*(m.transpose(0, 3, 1, 2) for m in thirds(qkv)),
                                      scales)
     return out.transpose(0, 2, 3, 1)
 
@@ -92,7 +104,7 @@ def test_partition_order_matches_record_bookkeeping(seed, t, scale, channels, ce
     x = T.tensor(rng.normal(size=lead + (t, side, side, channels)), dtype=np.float64)
     tokens = partition_patches(x.data, scale)
     recs = []
-    multiscale_attention((x, x, x), (scale,), records=recs)
+    multiscale_attention(fuse(x.data, x.data, x.data), (scale,), records=recs)
     assert [r.clip for r in recs] == list(range(batch or 1))
     for r in recs:
         clip_map = x.data if batch is None else x.data[r.clip]
@@ -125,36 +137,36 @@ def test_unpartition_rejects_tokens_of_another_map():
 # ----------------------------------------------------------- head attention
 
 def test_single_token_attention_is_identity():
-    q, k, v = rand_qkv(0, 1, 2, 3, 3)
+    qkv = rand_qkv(0, 1, 2, 3, 3)
     recs = []
-    out = multiscale_attention((q, k, v), (1,), records=recs)
+    out = multiscale_attention(qkv, (1,), records=recs)
     assert np.array_equal(recs[0].alpha, np.array([[1.0]]))
-    assert np.array_equal(out.data, v.data)
+    assert np.array_equal(out.data, thirds(qkv)[2])
 
 
 def test_uniform_keys_average_the_values():
     rng = np.random.default_rng(1)
     frame = rng.normal(size=(1, 2, 4, 4))
-    k = T.tensor(np.broadcast_to(frame, (4, 2, 4, 4)).transpose(0, 2, 3, 1), dtype=np.float64)
-    q, _, v = rand_qkv(2, 4, 2, 4, 4)
+    k = np.broadcast_to(frame, (4, 2, 4, 4)).transpose(0, 2, 3, 1)
+    q, _, v = thirds(rand_qkv(2, 4, 2, 4, 4))
     recs = []
-    out = multiscale_attention((q, k, v), (1,), records=recs)
+    out = multiscale_attention(fuse(q, k, v), (1,), records=recs)
     assert np.allclose(recs[0].alpha, 0.25)
-    want = v.data.mean(axis=0)
+    want = v.mean(axis=0)
     assert np.allclose(out.data, np.broadcast_to(want, out.shape), atol=1e-12)
 
 
 def test_head_attention_matches_double_loop_oracle():
     # one head over all channels: T=2, l=2, C=2, 4x4 maps
-    q, k, v = rand_qkv(3, 2, 2, 4, 4)
-    got = multiscale_attention((q, k, v), (2,))
-    want = naive(q, k, v, [2])
+    qkv = rand_qkv(3, 2, 2, 4, 4)
+    got = multiscale_attention(qkv, (2,))
+    want = naive(qkv, [2])
     assert np.allclose(got.data, want, atol=1e-6)
 
 
 def test_head_attention_rejects_mismatched_token_sets():
     # the unfused oracle's head attention; the primitive checks its maps up front
-    q, k, v = rand_qkv(4, 2, 2, 4, 4)
+    q, k, v = split(rand_qkv(4, 2, 2, 4, 4), 3, -1)
     with pytest.raises(ShapeError):
         head_attention(partition_taped(q, 2), partition_taped(k, 1), partition_taped(v, 2))
 
@@ -164,22 +176,23 @@ def test_head_attention_rejects_mismatched_token_sets():
 def test_reassemble_single_full_frame_head_is_identity():
     # one full-frame head: the module's output is that head's attended
     # tokens (the unfused oracle's) put back in place, with no concat
-    q, k, v = rand_qkv(5, 2, 3, 4, 4)
+    qkv = rand_qkv(5, 2, 3, 4, 4)
+    q, k, v = split(qkv, 3, -1)
     att, _ = head_attention(partition_taped(q, 1), partition_taped(k, 1),
                             partition_taped(v, 1))
-    assert np.array_equal(multiscale_attention((q, k, v), (1,)).data,
+    assert np.array_equal(multiscale_attention(qkv, (1,)).data,
                           unpartition_taped(att, v.shape, 1).data)
 
 
 def test_reassemble_concatenates_channels():
     # head i fills channel slice i of the output
-    q, k, v = rand_qkv(6, 2, 12, 4, 4)
-    out = multiscale_attention((q, k, v), (1, 2))
+    qkv = rand_qkv(6, 2, 12, 4, 4)
+    out = multiscale_attention(qkv, (1, 2))
     assert out.shape == (2, 4, 4, 12)
     for i, l in enumerate((1, 2)):
-        part = [T.tensor(m.data[..., 6 * i:6 * (i + 1)], dtype=np.float64) for m in (q, k, v)]
+        part = [m[..., 6 * i:6 * (i + 1)] for m in thirds(qkv)]
         assert np.array_equal(out.data[..., 6 * i:6 * (i + 1)],
-                              multiscale_attention(tuple(part), (l,)).data)
+                              multiscale_attention(fuse(*part), (l,)).data)
 
 
 def test_identity_attention_round_trip_bitwise():
@@ -194,16 +207,15 @@ def test_identity_attention_round_trip_bitwise():
 # ------------------------------------------------------------- full module
 
 def test_degenerate_single_token_module_returns_value_map():
-    q, k, v = rand_qkv(9, 1, 4, 4, 4)
-    out = multiscale_attention((q, k, v), (1,))
-    assert np.array_equal(out.data, v.data)
+    qkv = rand_qkv(9, 1, 4, 4, 4)
+    out = multiscale_attention(qkv, (1,))
+    assert np.array_equal(out.data, thirds(qkv)[2])
 
 
 def test_table_scale_pair_token_counts_and_shape():
     # scales [1, 2] on 8 frames of 28x28 maps: head token counts 8 and 32
-    q, k, v = rand_qkv(10, 8, 12, 28, 28)
     recs = []
-    out = multiscale_attention((q, k, v), (1, 2), records=recs)
+    out = multiscale_attention(rand_qkv(10, 8, 12, 28, 28), (1, 2), records=recs)
     assert out.shape == (8, 28, 28, 12)
     assert [r.alpha.shape for r in recs] == [(8, 8), (32, 32)]
     assert [r.scale for r in recs] == [1, 2]
@@ -211,9 +223,9 @@ def test_table_scale_pair_token_counts_and_shape():
 
 
 def test_three_scale_output_matches_oracle():
-    q, k, v = rand_qkv(11, 2, 12, 4, 4)
-    got = multiscale_attention((q, k, v), (1, 2, 4))
-    want = naive(q, k, v, [1, 2, 4])
+    qkv = rand_qkv(11, 2, 12, 4, 4)
+    got = multiscale_attention(qkv, (1, 2, 4))
+    want = naive(qkv, [1, 2, 4])
     assert got.shape == (2, 4, 4, 12)
     assert np.allclose(got.data, want, atol=1e-6)
 
@@ -227,20 +239,20 @@ def test_oracle_equivalence_grid(t, scales):
     # 21 random instances against the straight-line reference
     seed = 100 * t + sum(scales)
     c = 6 * len(scales) if len(scales) == 3 else 6
-    q, k, v = rand_qkv(seed, t, c, 4, 4)
-    got = multiscale_attention((q, k, v), tuple(scales))
-    want = naive(q, k, v, scales)
+    qkv = rand_qkv(seed, t, c, 4, 4)
+    got = multiscale_attention(qkv, tuple(scales))
+    want = naive(qkv, scales)
     assert np.allclose(got.data, want, atol=1e-6)
 
 
 def test_serial_equals_per_head_schedule_bitwise():
     # heads are independent; assembling the unfused oracle's heads one by one
     # matches the primitive
-    q, k, v = rand_qkv(12, 2, 6, 4, 4)
+    qkv = rand_qkv(12, 2, 6, 4, 4)
     scales = (1, 2)
-    fused = multiscale_attention((q, k, v), scales)
+    fused = multiscale_attention(qkv, scales)
     parts = []
-    qs, ks, vs = (T.split(m, 2, -1) for m in (q, k, v))
+    qs, ks, vs = (split(m, 2, -1) for m in split(qkv, 3, -1))
     for i, l in enumerate(scales):
         att, _ = head_attention(partition_taped(qs[i], l), partition_taped(ks[i], l),
                                 partition_taped(vs[i], l))
@@ -249,10 +261,13 @@ def test_serial_equals_per_head_schedule_bitwise():
 
 
 def test_module_rejects_mismatched_maps():
-    q, k, v = rand_qkv(13, 2, 6, 4, 4)
-    bad = T.tensor(np.zeros((2, 8, 8, 6)))
-    with pytest.raises(ShapeError):
-        multiscale_attention((q, k, bad), (1,))
+    # a map that is not q, k and v of one width per head: a channel count
+    # other than 3 * heads * w, no channels, or no heads. q, k and v of 7
+    # channels over 2 heads (21) once returned channel 6 of the output
+    # unwritten (np.empty memory)
+    for channels, scales in [(21, (1, 2)), (8, (1,)), (0, (1,)), (6, ())]:
+        with pytest.raises(ShapeError, match=f"{channels} channels are not q, k, v over"):
+            multiscale_attention(T.tensor(np.ones((2, 4, 4, channels))), scales)
 
 
 # ------------------------------- the primitive against the unfused oracle
@@ -262,17 +277,17 @@ def test_module_rejects_mismatched_maps():
        scales=st.sampled_from(SCALE_SETS), batch=st.sampled_from([1, 2]))
 def test_primitive_gradients_match_the_unfused_composition(seed, t, scales, batch):
     rng = np.random.default_rng(seed)
-    shape = (batch, t, 4, 4, 6 * len(scales) if len(scales) == 3 else 6)
-    arrays = [rng.normal(size=shape) for _ in range(3)]
-    proj = rng.normal(size=int(np.prod(shape)))
+    c = 6 * len(scales) if len(scales) == 3 else 6
+    array = rng.normal(size=(batch, t, 4, 4, 3 * c))
+    proj = rng.normal(size=batch * t * 4 * 4 * c)
     results = []
     for fn in (multiscale_attention, multiscale_attention_unfused):
-        qkv = tuple(T.param(a) for a in arrays)
+        qkv = T.param(array)
         with T.Tape():
             out = fn(qkv, tuple(scales))
             T.backward(scalarize(out, proj))
-        results.append([out.data] + [m.grad for m in qkv])
-    for name, got, want in zip(("output", "dq", "dk", "dv"), *results):
+        results.append([out.data, qkv.grad])
+    for name, got, want in zip(("output", "dqkv"), *results):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-10, err_msg=name)
 
 
@@ -282,21 +297,21 @@ def test_primitive_gradients_match_the_unfused_composition(seed, t, scales, batc
 def test_float32_forward_is_bitwise_the_unfused_composition(seed, t, scales, batch):
     rng = np.random.default_rng(seed)
     lead = () if batch is None else (batch,)
-    shape = lead + (t, 4, 4, 6 * len(scales) if len(scales) == 3 else 6)
-    qkv = tuple(T.tensor(rng.normal(size=shape), dtype=np.float32) for _ in range(3))
+    shape = lead + (t, 4, 4, 3 * (6 * len(scales) if len(scales) == 3 else 6))
+    qkv = T.tensor(rng.normal(size=shape), dtype=np.float32)
     assert np.array_equal(multiscale_attention(qkv, tuple(scales)).data,
                           multiscale_attention_unfused(qkv, tuple(scales)).data)
 
 
-@pytest.mark.parametrize("shape,scales", [((16, 8, 4, 4, 12), (1, 2)),
-                                          ((16, 16, 4, 4, 12), (1, 2, 4)),
-                                          ((1, 8, 16, 16, 12), (1,))],
+@pytest.mark.parametrize("shape,scales", [((16, 8, 4, 4, 36), (1, 2)),
+                                          ((16, 16, 4, 4, 36), (1, 2, 4)),
+                                          ((1, 8, 16, 16, 36), (1,))],
                          ids=["default", "longclip", "hires"])
 def test_float32_forward_is_bitwise_the_unfused_composition_at_model_shapes(shape, scales):
     # the benchmark workloads' attention inputs, where BLAS sums a transposed
     # view of k in another order than a contiguous k^T
     rng = np.random.default_rng(18)
-    qkv = tuple(T.tensor(rng.normal(size=shape), dtype=np.float32) for _ in range(3))
+    qkv = T.tensor(rng.normal(size=shape), dtype=np.float32)
     assert np.array_equal(multiscale_attention(qkv, scales).data,
                           multiscale_attention_unfused(qkv, scales).data)
 
@@ -304,11 +319,11 @@ def test_float32_forward_is_bitwise_the_unfused_composition_at_model_shapes(shap
 @pytest.mark.parametrize("scales", SCALE_SETS, ids=str)
 def test_one_call_records_one_tape_node(scales):
     c = 6 * len(scales) if len(scales) == 3 else 6
-    qkv = tuple(T.param(m.data) for m in rand_qkv(17, 2, c, 4, 4))
+    qkv = T.param(rand_qkv(17, 2, c, 4, 4).data)
     with T.Tape() as tape:
         out = multiscale_attention(qkv, tuple(scales), records=[])
         assert len(tape.nodes) == 1
-        assert tape.nodes[0].out is out and tape.nodes[0].parents == qkv
+        assert tape.nodes[0].out is out and tape.nodes[0].parents == (qkv,)
 
 
 # ----------------------------------------------------- invariants
@@ -318,9 +333,8 @@ def test_one_call_records_one_tape_node(scales):
        scales=st.sampled_from(SCALE_SETS))
 def test_attention_rows_are_stochastic(seed, t, scales):
     c = 6 * len(scales) if len(scales) == 3 else 6
-    q, k, v = rand_qkv(seed, t, c, 4, 4)
     recs = []
-    multiscale_attention((q, k, v), tuple(scales), records=recs)
+    multiscale_attention(rand_qkv(seed, t, c, 4, 4), tuple(scales), records=recs)
     assert len(recs) == len(scales)
     for r in recs:
         assert np.all(r.alpha >= 0)
@@ -337,20 +351,18 @@ def test_short_and_long_range_masks_partition_the_scores():
 
 def test_frame_swap_equivariance_two_frames():
     # equal up to matmul reassociation (an ulp or two), hence the tight atol
-    q, k, v = rand_qkv(14, 2, 6, 4, 4)
-    out = multiscale_attention((q, k, v), (1,)).data
-    flipped = [T.tensor(m.data[::-1], dtype=np.float64) for m in (q, k, v)]
-    out_flipped = multiscale_attention(tuple(flipped), (1,)).data
+    qkv = rand_qkv(14, 2, 6, 4, 4)
+    out = multiscale_attention(qkv, (1,)).data
+    out_flipped = multiscale_attention(T.tensor(qkv.data[::-1], np.float64), (1,)).data
     assert np.allclose(out_flipped, out[::-1], atol=1e-14)
 
 
 def test_frame_permutation_equivariance():
     rng = np.random.default_rng(15)
-    q, k, v = rand_qkv(16, 4, 6, 4, 4)
+    qkv = rand_qkv(16, 4, 6, 4, 4)
     perm = rng.permutation(4)
-    out = multiscale_attention((q, k, v), (1, 2)).data
-    permuted = [T.tensor(m.data[perm], dtype=np.float64) for m in (q, k, v)]
-    out_perm = multiscale_attention(tuple(permuted), (1, 2)).data
+    out = multiscale_attention(qkv, (1, 2)).data
+    out_perm = multiscale_attention(T.tensor(qkv.data[perm], np.float64), (1, 2)).data
     assert np.allclose(out_perm, out[perm], atol=1e-12)
 
 

@@ -5,10 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from padformer import tensor as T
-from padformer.embed import VideoClip, conv_ffn, conv_project, conv_token_embed
+from padformer.attention import conv_project, multiscale_attention
+from padformer.embed import VideoClip, conv_ffn, conv_token_embed
 
 from oracles import conv2d_backward_naive, conv2d_naive
 from gradcheck import scalarize
+from test_attention import thirds
 from test_gradients import check
 
 
@@ -103,27 +105,26 @@ def test_identity_projection_reproduces_token_map():
     x = T.tensor(rng.standard_normal((2, 4, 4, 6)))
     wid = T.tensor(identity_kernel(6, 3))
     b = zeros(6)
-    q, k, v = conv_project(x, wid, b, wid, b, wid, b)
-    for m in (q, k, v):
-        assert np.array_equal(m.data, x.data)
+    for m in thirds(conv_project(x, wid, b, wid, b, wid, b)):
+        assert np.array_equal(m, x.data)
 
 
 def test_zero_projection_kernels():
     x = T.tensor(np.random.default_rng(5).standard_normal((2, 4, 4, 6)))
     wz = zeros(6, 6, 3, 3)
     b = zeros(6)
-    q, k, v = conv_project(x, wz, b, wz, b, wz, b)
-    for m in (q, k, v):
-        assert np.array_equal(m.data, np.zeros_like(x.data))
+    for m in thirds(conv_project(x, wz, b, wz, b, wz, b)):
+        assert np.array_equal(m, np.zeros_like(x.data))
 
 
 def test_projection_preserves_shape():
+    # one map of three thirds, each of the input shape
     rng = np.random.default_rng(6)
     x = T.tensor(rng.standard_normal((2, 4, 4, 6)))
     mk = lambda: T.tensor(rng.standard_normal((6, 6, 3, 3)))
     bk = lambda: T.tensor(rng.standard_normal(6))
-    q, k, v = conv_project(x, mk(), bk(), mk(), bk(), mk(), bk())
-    assert q.shape == k.shape == v.shape == x.shape
+    qkv = conv_project(x, mk(), bk(), mk(), bk(), mk(), bk())
+    assert qkv.shape == (2, 4, 4, 18)
 
 
 def projection_operands(rng, lead, c, h, w):
@@ -136,13 +137,9 @@ def projection_operands(rng, lead, c, h, w):
 
 
 def separate_projection(x, wq, bq, wk, bk, wv, bv):
-    """Reference: one 3x3 conv2d per map, as before the fusion."""
-    return tuple(T.conv2d(x, w, b, pad=1)
-                 for w, b in ((wq, bq), (wk, bk), (wv, bv)))
-
-
-def joint_loss(maps, proj):
-    return scalarize(T.concat(list(maps), axis=0), proj)
+    """Reference: one 3x3 conv2d per map, concatenated in [q | k | v] order."""
+    return T.concat([T.conv2d(x, w, b, pad=1) for w, b in ((wq, bq), (wk, bk), (wv, bv))],
+                    axis=-1)
 
 
 _PROJ_SHAPES = dict(seed=st.integers(0, 10_000), b=st.sampled_from([None, 1, 2, 3]),
@@ -155,12 +152,12 @@ _PROJ_SHAPES = dict(seed=st.integers(0, 10_000), b=st.sampled_from([None, 1, 2, 
 def test_projection_matches_three_naive_convs(seed, b, t, c, h, w):
     lead = (t,) if b is None else (b, t)
     x, weights = projection_operands(np.random.default_rng(seed), lead, c, h, w)
-    maps = conv_project(T.tensor(x, dtype=np.float64),
-                        *[T.tensor(a, dtype=np.float64) for a in weights])
-    for m, (wm, bm) in zip(maps, zip(weights[0::2], weights[1::2])):
+    qkv = conv_project(T.tensor(x, dtype=np.float64),
+                       *[T.tensor(a, dtype=np.float64) for a in weights])
+    assert qkv.shape == x.shape[:-1] + (3 * c,)
+    for m, (wm, bm) in zip(thirds(qkv), zip(weights[0::2], weights[1::2])):
         want = conv2d_naive(channels_first(x), wm, bm, stride=1, pad=1)
-        assert m.shape == x.shape
-        np.testing.assert_allclose(m.data, channels_last(want, x.shape), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(m, channels_last(want, x.shape), rtol=0, atol=1e-12)
 
 
 @settings(max_examples=25, deadline=None)
@@ -174,7 +171,7 @@ def test_projection_gradients_match_separate_convs(seed, b, t, c, h, w):
     for project in (conv_project, separate_projection):
         tensors = [T.param(a) for a in [x] + weights]
         with T.Tape():
-            T.backward(joint_loss(project(*tensors), proj))
+            T.backward(scalarize(project(*tensors), proj))
         grads.append([p.grad for p in tensors])
     for name, fused, ref in zip(["x", "wq", "bq", "wk", "bk", "wv", "bv"], *grads):
         np.testing.assert_allclose(fused, ref, rtol=0, atol=1e-10, err_msg=name)
@@ -184,7 +181,7 @@ def test_projection_gradient_check():
     rng = np.random.default_rng(10)
     x, weights = projection_operands(rng, (2,), 3, 4, 4)
     proj = rng.normal(size=3 * x.size)
-    check(lambda *p: joint_loss(conv_project(*p), proj), [x] + weights)
+    check(lambda *p: scalarize(conv_project(*p), proj), [x] + weights)
 
 
 def test_projection_runs_one_convolution(monkeypatch):
@@ -197,9 +194,20 @@ def test_projection_runs_one_convolution(monkeypatch):
 
     monkeypatch.setattr(T, "conv2d", counting)
     x, weights = projection_operands(np.random.default_rng(11), (2, 2), 4, 3, 3)
-    q, k, v = conv_project(T.tensor(x), *[T.tensor(a) for a in weights])
+    qkv = conv_project(T.tensor(x), *[T.tensor(a) for a in weights])
     assert calls == [((12, 4, 3, 3), 1)]
-    assert q.shape == k.shape == v.shape == x.shape
+    assert qkv.shape == x.shape[:-1] + (12,)
+
+
+def test_projection_and_attention_record_four_tape_nodes():
+    # the weight and bias concats, the conv and the attention: the [q | k | v]
+    # map goes from the projection into the attention primitive uncut
+    x, weights = projection_operands(np.random.default_rng(12), (2, 2), 6, 4, 4)
+    params = [T.param(a) for a in weights]
+    with T.Tape() as tape:
+        out = multiscale_attention(conv_project(T.tensor(x, np.float64), *params), (1, 2))
+        assert len(tape.nodes) == 4
+        assert tape.nodes[-1].out is out
 
 
 # -------------------------------------------------------------- feed-forward

@@ -66,6 +66,25 @@ def test_frame_permutation_leaves_logits_unchanged():
     assert np.allclose(forward(shuffled, params, cfg).data, base, atol=1e-6)
 
 
+def test_key_bias_cannot_move_the_logits_but_value_bias_does():
+    # softmax is shift-invariant per row, so q . b_k added to every score of a
+    # row changes nothing; reading another third of the [q | k | v] map as k
+    # would let this bias through
+    cfg = replace(ModelConfig(), frames=4)
+    clips = np.stack([rand_clip(cfg, seed=s, dtype=np.float64).frames for s in (7, 8)])
+
+    def logits(kind="k", delta=0.0):
+        params = init_params(cfg, dtype=np.float64)
+        for i in range(cfg.depth):
+            params[f"layers.{i}.{kind}.bias"].data += delta
+        return forward(clips, params, cfg).data
+
+    base = logits()
+    shift = np.random.default_rng(9).normal(size=cfg.embed_channels)
+    assert np.abs(logits("k", shift) - base).max() < 1e-15
+    assert np.abs(logits("v", 0.1) - base).max() > 1e-3
+
+
 # ------------------------------------------------------------------- batch
 
 def _batch_case(seed, b, t, scales):
