@@ -75,37 +75,40 @@ class ClipRecord:
     split: str
 
 
-def _base_content(spec: SynthSpec, split: str, idx: int) -> np.ndarray:
+def _open_grid(spec: SynthSpec):
+    """Pixel row indices as an [H, 1] column and column indices as a [W] row."""
+    return np.arange(spec.height, dtype=np.float64)[:, None], np.arange(spec.width, dtype=np.float64)
+
+
+def _base_content(spec: SynthSpec, split: str, idx: int, grid) -> np.ndarray:
     """Class-shared canvas: blob + low-frequency texture + jitter trajectory."""
     rng = stream(spec.seed, "base", split, idx)
     s, h, w = spec.source_frames, spec.height, spec.width
-    yy, xx = np.mgrid[0:h, 0:w].astype(np.float64)
+    yy, xx = grid
 
     cy = h / 2 + rng.uniform(-2, 2)
     cx = w / 2 + rng.uniform(-2, 2)
     sigma = h / 5 + rng.uniform(-0.5, 0.5)
     jitter = rng.normal(scale=_JITTER_STD, size=(s, 2))
 
-    fy = rng.uniform(0.5, 1.5, size=2)
-    fx = rng.uniform(0.5, 1.5, size=2)
-    ph = rng.uniform(0, 2 * np.pi, size=2)
-    texture = np.zeros((h, w))
-    for i in range(2):
-        texture += np.sin(2 * np.pi * (fy[i] * yy / h + fx[i] * xx / w) + ph[i])
+    fy = rng.uniform(0.5, 1.5, size=2)[:, None, None]
+    fx = rng.uniform(0.5, 1.5, size=2)[:, None, None]
+    ph = rng.uniform(0, 2 * np.pi, size=2)[:, None, None]
+    texture = np.sin(2 * np.pi * (fy * yy / h + fx * xx / w) + ph).sum(axis=0)
     texture *= _TEXTURE_BASE_AMP / 2
 
-    clip = np.empty((s, 3, h, w), dtype=np.float64)
-    for t in range(s):
-        d2 = (yy - cy - jitter[t, 0]) ** 2 + (xx - cx - jitter[t, 1]) ** 2
-        blob = np.exp(-d2 / (2 * sigma * sigma))
-        for c in range(3):
-            clip[t, c] = _BASE_GRAY + _BLOB_AMP[c] * blob + texture
+    dy = yy - cy - jitter[:, 0, None, None]                     # [S, H, 1]
+    dx = xx - cx - jitter[:, 1, None, None]                     # [S, 1, W]
+    blob = np.exp(-(dy ** 2 + dx ** 2) / (2 * sigma * sigma))   # [S, H, W]
+    clip = np.array(_BLOB_AMP)[:, None, None] * blob[:, None]
+    clip += _BASE_GRAY
+    clip += texture
     return clip
 
 
-def _make_clip(spec: SynthSpec, split: str, idx: int, label: int) -> np.ndarray:
-    clip = _base_content(spec, split, idx)
-    s, h, w = spec.source_frames, spec.height, spec.width
+def _make_clip(spec: SynthSpec, split: str, idx: int, label: int, grid) -> np.ndarray:
+    clip = _base_content(spec, split, idx, grid)
+    s = spec.source_frames
     cue = stream(spec.seed, "cue", split, idx, label)
 
     if label == 1:
@@ -117,28 +120,29 @@ def _make_clip(spec: SynthSpec, split: str, idx: int, label: int) -> np.ndarray:
         offset = spec.pulse_amp * np.sin(cue.uniform(0, 2 * np.pi))
         clip += offset
         if spec.texture_amp > 0:
-            yy, xx = np.mgrid[0:h, 0:w].astype(np.float64)
+            yy, xx = grid
             gy = cue.uniform(0, 2 * np.pi)
             gx = cue.uniform(0, 2 * np.pi)
             # ~2.5-pixel period, well above the base texture's frequency
-            grid = np.sin(0.8 * np.pi * yy + gy) * np.sin(0.8 * np.pi * xx + gx)
-            clip += spec.texture_amp * grid
+            pattern = np.sin(0.8 * np.pi * yy + gy) * np.sin(0.8 * np.pi * xx + gx)
+            clip += spec.texture_amp * pattern
 
     if spec.noise_sigma > 0:
         noise = stream(spec.seed, "noise", split, idx, label)
         clip += noise.normal(scale=spec.noise_sigma, size=clip.shape)
-    return np.clip(clip, 0.0, 1.0).astype(np.float32)
+    return np.clip(clip, 0.0, 1.0, out=clip).astype(np.float32)
 
 
 def generate_dataset(spec: SynthSpec) -> list:
     """All clips of all splits, a pure function of the generation settings."""
+    grid = _open_grid(spec)
     records = []
     for split in SPLITS:
         for label, tag in ((0, "attack"), (1, "bona")):
             for idx in range(spec.clips_for(split)):
                 records.append(ClipRecord(
                     clip_id=f"{split}_{tag}_{idx:04d}",
-                    frames=_make_clip(spec, split, idx, label),
+                    frames=_make_clip(spec, split, idx, label, grid),
                     label=label, split=split))
     return records
 

@@ -5,10 +5,14 @@ u8 rank, ``rank`` little-endian u32 extents, then the raw little-endian
 scalars in row-major order. Used for weights, dataset clips and attention
 maps; ``replace_tree`` writes a directory of them (a checkpoint or a clip
 store) all at once or not at all.
+
+Each payload is copied once: the writer hands the array's own buffer to the
+file, and the reader reads the file straight into the array it returns.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import shutil
 import struct
@@ -21,6 +25,7 @@ import numpy as np
 MAGIC = b"VPT1"
 _DTYPE_CODE = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 _CODE_DTYPE = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
+_HEAD = 6  # magic, dtype code, rank
 
 
 class VptFormatError(ValueError):
@@ -28,39 +33,53 @@ class VptFormatError(ValueError):
 
 
 def write_tensor(path, array: np.ndarray) -> None:
+    """Write ``array`` (float32 or float64, any memory order) as a VPT1 file.
+
+    The header and the payload go to the file in two writes; the payload is
+    the array's own buffer unless the array has to be made row-major or
+    little-endian first.
+    """
     arr = np.asarray(array)
-    if arr.ndim and not arr.flags["C_CONTIGUOUS"]:
-        arr = np.ascontiguousarray(arr)
     code = _DTYPE_CODE.get(arr.dtype)
     if code is None:
         raise VptFormatError(f"unsupported dtype {arr.dtype}; use float32 or float64")
     if arr.ndim > 255:
         raise VptFormatError(f"rank {arr.ndim} exceeds u8")
-    header = MAGIC + struct.pack("<BB", code, arr.ndim)
-    header += struct.pack(f"<{arr.ndim}I", *arr.shape)
-    payload = arr.astype(arr.dtype.newbyteorder("<"), copy=False).tobytes()
-    Path(path).write_bytes(header + payload)
+    header = MAGIC + struct.pack(f"<BB{arr.ndim}I", code, arr.ndim, *arr.shape)
+    arr = arr.astype(arr.dtype.newbyteorder("<"), order="C", copy=False)
+    with open(path, "wb") as fh:
+        fh.write(header)
+        fh.write(arr)
 
 
 def read_tensor(path) -> np.ndarray:
-    raw = Path(path).read_bytes()
-    if len(raw) < 6 or raw[:4] != MAGIC:
-        raise VptFormatError(f"{path}: missing VPT1 magic")
-    code, rank = struct.unpack_from("<BB", raw, 4)
-    if code not in _CODE_DTYPE:
-        raise VptFormatError(f"{path}: unknown dtype code {code}")
-    offset = 6
-    if len(raw) < offset + 4 * rank:
-        raise VptFormatError(f"{path}: truncated extent list")
-    shape = struct.unpack_from(f"<{rank}I", raw, offset)
-    offset += 4 * rank
-    dtype = _CODE_DTYPE[code]
-    count = int(np.prod(shape, dtype=np.int64)) if rank else 1
-    expected = offset + count * dtype.itemsize
-    if len(raw) != expected:
-        raise VptFormatError(f"{path}: payload is {len(raw) - offset} bytes, expected {count * dtype.itemsize}")
-    data = np.frombuffer(raw, dtype=dtype, count=count, offset=offset)
-    return data.reshape(shape).astype(dtype.newbyteorder("="), copy=True)
+    """Read a VPT1 file into a new native-byte-order array that owns its data.
+
+    The header is checked against the file size before the array is
+    allocated, so a corrupt or hostile header raises ``VptFormatError``
+    naming ``path`` and never asks for more memory than the file holds.
+    """
+    with open(path, "rb") as fh:
+        head = fh.read(_HEAD)
+        if len(head) < _HEAD or head[:4] != MAGIC:
+            raise VptFormatError(f"{path}: missing VPT1 magic")
+        code, rank = head[4], head[5]
+        if code not in _CODE_DTYPE:
+            raise VptFormatError(f"{path}: unknown dtype code {code}")
+        extents = fh.read(4 * rank)
+        if len(extents) < 4 * rank:
+            raise VptFormatError(f"{path}: truncated extent list")
+        shape = struct.unpack(f"<{rank}I", extents)
+        dtype = _CODE_DTYPE[code]
+        expected = math.prod(shape) * dtype.itemsize
+        payload = os.fstat(fh.fileno()).st_size - _HEAD - 4 * rank
+        if payload != expected:
+            raise VptFormatError(f"{path}: payload is {payload} bytes, expected {expected}")
+        out = np.empty(shape, dtype=dtype)
+        got = fh.readinto(out)
+        if got != expected:
+            raise VptFormatError(f"{path}: payload is {got} bytes, expected {expected}")
+    return out.astype(dtype.newbyteorder("="), copy=False)
 
 
 def read_member(root: Path, rel: str, where: str) -> np.ndarray:

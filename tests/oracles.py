@@ -1,7 +1,8 @@
 """Straight-line reference implementations, kept independent of src/.
 
-The loop-based oracles share no code path with the engine they check. The
-unfused multi-scale attention at the end is the composition of taped
+The loop-based oracles share no code path with the engine they check; the
+loop-built synthetic clip shares only the generator's random streams and
+constants, which are its inputs. The unfused multi-scale attention at the end is the composition of taped
 primitives that ``padformer.attention.multiscale_attention`` replaced with one
 primitive; it keeps its own ``scale``, ``softmax`` and ``split`` primitives,
 and the finite-difference suite checks them.
@@ -12,6 +13,8 @@ import math
 import numpy as np
 
 from padformer import tensor as T
+from padformer.rng import stream
+from padformer.synth import _BASE_GRAY, _BLOB_AMP, _JITTER_STD, _TEXTURE_BASE_AMP
 
 
 def conv2d_naive(x, w, b, stride, pad):
@@ -101,6 +104,54 @@ def select_threshold_sweep(dev_scores):
         if best_gap is None or gap < best_gap:
             best, best_gap = th, gap
     return float(best)
+
+
+def make_clip_loops(spec, split, idx, label):
+    """The synthetic clip of ``padformer.synth._make_clip``, built frame by
+    frame and channel by channel on a full ``np.mgrid`` pixel grid."""
+    rng = stream(spec.seed, "base", split, idx)
+    s, h, w = spec.source_frames, spec.height, spec.width
+    yy, xx = np.mgrid[0:h, 0:w].astype(np.float64)
+
+    cy = h / 2 + rng.uniform(-2, 2)
+    cx = w / 2 + rng.uniform(-2, 2)
+    sigma = h / 5 + rng.uniform(-0.5, 0.5)
+    jitter = rng.normal(scale=_JITTER_STD, size=(s, 2))
+
+    fy = rng.uniform(0.5, 1.5, size=2)
+    fx = rng.uniform(0.5, 1.5, size=2)
+    ph = rng.uniform(0, 2 * np.pi, size=2)
+    texture = np.zeros((h, w))
+    for i in range(2):
+        texture += np.sin(2 * np.pi * (fy[i] * yy / h + fx[i] * xx / w) + ph[i])
+    texture *= _TEXTURE_BASE_AMP / 2
+
+    clip = np.empty((s, 3, h, w), dtype=np.float64)
+    for t in range(s):
+        d2 = (yy - cy - jitter[t, 0]) ** 2 + (xx - cx - jitter[t, 1]) ** 2
+        blob = np.exp(-d2 / (2 * sigma * sigma))
+        for c in range(3):
+            clip[t, c] = _BASE_GRAY + _BLOB_AMP[c] * blob + texture
+
+    cue = stream(spec.seed, "cue", split, idx, label)
+    if label == 1:
+        freq = cue.uniform(spec.pulse_freq_min, spec.pulse_freq_max)
+        phase = cue.uniform(0, 2 * np.pi)
+        wave = spec.pulse_amp * np.sin(2 * np.pi * freq * np.arange(s) / s + phase)
+        clip += wave[:, None, None, None]
+    else:
+        offset = spec.pulse_amp * np.sin(cue.uniform(0, 2 * np.pi))
+        clip += offset
+        if spec.texture_amp > 0:
+            gy = cue.uniform(0, 2 * np.pi)
+            gx = cue.uniform(0, 2 * np.pi)
+            grid = np.sin(0.8 * np.pi * yy + gy) * np.sin(0.8 * np.pi * xx + gx)
+            clip += spec.texture_amp * grid
+
+    if spec.noise_sigma > 0:
+        noise = stream(spec.seed, "noise", split, idx, label)
+        clip += noise.normal(scale=spec.noise_sigma, size=clip.shape)
+    return np.clip(clip, 0.0, 1.0).astype(np.float32)
 
 
 def multiscale_attention_naive(q, k, v, scales):

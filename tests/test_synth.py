@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from padformer import vpt
+from padformer import synth, vpt
 from padformer.synth import (
     ClipRecord,
     SynthSpec,
@@ -16,6 +16,8 @@ from padformer.synth import (
     split_records,
     write_store,
 )
+
+from oracles import make_clip_loops
 
 SMALL = SynthSpec(train_clips=4, dev_clips=2, test_clips=2,
                   height=16, width=16, source_frames=6, seed=7)
@@ -64,6 +66,23 @@ def test_seed_changes_content():
                                          source_frames=6, seed=8)))
     assert not np.array_equal(a["train_bona_0000"].frames,
                               b["train_bona_0000"].frames)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("hws", [(32, 32, 8), (32, 32, 16), (64, 64, 8)])
+@pytest.mark.parametrize("cues", ["default", "no-texture", "no-noise"])
+def test_clip_is_bitwise_the_loop_oracle(seed, hws, cues):
+    h, w, s = hws
+    spec = SynthSpec(height=h, width=w, source_frames=s, seed=seed,
+                     texture_amp=0.0 if cues == "no-texture" else 0.10,
+                     noise_sigma=0.0 if cues == "no-noise" else 0.02)
+    grid = synth._open_grid(spec)
+    for split, idx in (("train", 0), ("test", 3)):
+        for label in (0, 1):
+            fast = synth._make_clip(spec, split, idx, label, grid)
+            loops = make_clip_loops(spec, split, idx, label)
+            assert fast.dtype == loops.dtype == np.float32
+            assert fast.tobytes() == loops.tobytes()
 
 
 # ---------------------------------------------------------------------------
