@@ -20,18 +20,13 @@ import sys
 import threading
 
 import numpy as np
-from scipy.special import erf
 
 __all__ = [
     "Tensor", "Tape", "ShapeError", "tensor", "param", "record", "backward",
-    "add", "gelu", "matmul", "conv2d",
+    "add", "matmul", "conv2d",
     "layer_norm", "reshape", "transpose", "concat",
     "mean", "AdamState", "adam_step",
 ]
-
-# Python floats: a numpy float64 scalar would promote float32 operands
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)
-_INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 # glibc malloc settings (mallopt parameter id, value). A training step frees
 # its whole graph at once when its tape exits, and by default glibc then trims
@@ -231,19 +226,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return record(a.data + b.data, (a, b), lambda g: (g, g.sum(axis=tuple(range(lead)))))
 
 
-def gelu(x: Tensor) -> Tensor:
-    """Exact Gaussian-error-linear unit: x * Phi(x)."""
-    xd = x.data
-    cdf = 0.5 * (1.0 + erf(xd * _INV_SQRT2))
-    out = xd * cdf
-
-    def back(g):
-        pdf = _INV_SQRT2PI * np.exp(-0.5 * xd * xd)     # only a backward pays for it
-        return (g * (cdf + xd * pdf),)
-
-    return record(out, (x,), back)
-
-
 # ---------------------------------------------------------------------------
 # contraction
 
@@ -281,8 +263,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, pad: int = 0) -> Tensor:
     The im2col columns are ordered (kh, kw, Cin) and gathered from the input
     (a zero-padded copy when pad > 0), so each kernel row of a window is one
     contiguous run of kw*Cin values, and the backward scatters each tap as
-    one add over whole channel runs. A 1x1 kernel without padding is a
-    reshape plus one GEMM, both ways.
+    one add over whole channel runs.
     """
     xd, wd = x.data, w.data
     if xd.ndim < 4 or wd.ndim != 4:
@@ -315,10 +296,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, pad: int = 0) -> Tensor:
         gmat = g.reshape(-1, cout)
         gw = (gmat.T @ cols).reshape(cout, kh, kw, cin).transpose(0, 3, 1, 2)
         gb = gmat.sum(axis=0)
-        gcols = gmat @ wmat
-        if kh == kw == 1 and not pad:
-            return gcols.reshape(xshape), gw, gb
-        gcols = gcols.reshape(n, ho, wo, kh, kw, cin)
+        gcols = (gmat @ wmat).reshape(n, ho, wo, kh, kw, cin)
         gxp = np.zeros((n, hp, wp, cin), dtype=g.dtype)
         for i in range(kh):
             for j in range(kw):

@@ -45,6 +45,8 @@ def write_tensor(path, array: np.ndarray) -> None:
         raise VptFormatError(f"unsupported dtype {arr.dtype}; use float32 or float64")
     if arr.ndim > 255:
         raise VptFormatError(f"rank {arr.ndim} exceeds u8")
+    if any(n >= 2 ** 32 for n in arr.shape):
+        raise VptFormatError(f"extent {max(arr.shape)} of shape {arr.shape} exceeds u32")
     header = MAGIC + struct.pack(f"<BB{arr.ndim}I", code, arr.ndim, *arr.shape)
     arr = arr.astype(arr.dtype.newbyteorder("<"), order="C", copy=False)
     with open(path, "wb") as fh:

@@ -3,16 +3,22 @@
 import numpy as np
 import pytest
 
+from padformer import model as M
 from padformer import tensor as T
 from padformer import vpt
 
 
 @pytest.fixture
-def nan_gelu_backward(monkeypatch):
-    """Make ``gelu`` the identity with a NaN backward: the loss stays finite
-    and every gradient upstream of the first FFN is NaN."""
-    monkeypatch.setattr(T, "gelu", lambda x: T.record(x.data.copy(), (x,),
-                                                      lambda g: (g * np.nan,)))
+def nan_ffn_backward(monkeypatch):
+    """Give every feed-forward block a NaN backward: the forward and the loss
+    are unchanged and every gradient through an FFN is NaN."""
+    real = M.conv_ffn
+
+    def ffn(y, *weights):
+        out = real(y, *weights)
+        return T.record(out.data, (out,), lambda g: (g * np.nan,))
+
+    monkeypatch.setattr(M, "conv_ffn", ffn)
 
 
 @pytest.fixture

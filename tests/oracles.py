@@ -2,7 +2,10 @@
 
 The loop-based oracles share no code path with the engine they check; the
 loop-built synthetic clip shares only the generator's random streams and
-constants, which are its inputs. The unfused multi-scale attention at the end is the composition of taped
+constants, which are its inputs. The unfused feed-forward block is the loop
+1x1 convolution around the exact GELU from float64 ``math.erf``, which
+``padformer.embed.conv_ffn`` replaced with one primitive. The unfused
+multi-scale attention at the end is the composition of taped
 primitives that ``padformer.attention.multiscale_attention`` replaced with one
 primitive; it keeps its own ``scale``, ``softmax`` and ``split`` primitives,
 and the finite-difference suite checks them.
@@ -64,6 +67,36 @@ def conv2d_backward_naive(x, w, g, stride, pad):
                                 gw[co, ci, i, j] += go * xp[ni, ci, r, c]
                                 gxp[ni, ci, r, c] += go * w[co, ci, i, j]
     return gxp[:, :, pad:pad + h, pad:pad + wid], gw, gb
+
+
+def normal_cdf_exact(x):
+    """Standard normal CDF of every element, in float64 from ``math.erf``."""
+    x = np.asarray(x, dtype=np.float64)
+    return np.array([0.5 * (1.0 + math.erf(v / math.sqrt(2.0))) for v in x.ravel().tolist()]
+                    ).reshape(x.shape)
+
+
+def gelu_exact(x):
+    """x * Phi(x) and its derivative Phi(x) + x * phi(x), elementwise in float64."""
+    x = np.asarray(x, dtype=np.float64)
+    cdf = normal_cdf_exact(x)
+    pdf = np.array([math.exp(-0.5 * v * v) / math.sqrt(2.0 * math.pi)
+                    for v in x.ravel().tolist()]).reshape(x.shape)
+    return x * cdf, cdf + x * pdf
+
+
+def ffn_naive(x, w1, b1, w2, b2, g):
+    """The unfused feed-forward block: loop 1x1 conv, exact GELU, loop 1x1 conv.
+
+    x and the output gradient g are [N, C, H, W]; returns the output and
+    (gx, gw1, gb1, gw2, gb2).
+    """
+    h = conv2d_naive(x, w1, b1, 1, 0)
+    a, slope = gelu_exact(h)
+    out = conv2d_naive(a, w2, b2, 1, 0)
+    ga, gw2, gb2 = conv2d_backward_naive(a, w2, g, 1, 0)
+    gx, gw1, gb1 = conv2d_backward_naive(x, w1, ga * slope, 1, 0)
+    return out, (gx, gw1, gb1, gw2, gb2)
 
 
 def metrics_recount(scores, threshold):

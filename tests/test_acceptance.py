@@ -19,7 +19,7 @@ from padformer.attention import (multiscale_attention, partition_patches,
                                  unpartition_patches)
 from padformer.config import RunConfig, load_config
 from padformer.costs import count_cost
-from padformer.embed import VideoClip, conv_token_embed
+from padformer.embed import VideoClip, conv_ffn, conv_token_embed
 from padformer.harness import evaluate, format_log, train_model
 from padformer.metrics import compute_metrics
 from padformer.model import (ModelConfig, cross_entropy, forward, init_params,
@@ -75,12 +75,16 @@ def test_criterion_1_gradient_suite(capsys):
     # so that every other case keeps its inputs
     attn = np.random.default_rng(1).normal(size=(4, 2, 2, 4, 4, 2))
     qkv = np.concatenate(list(attn[:3]), axis=-1)          # one [q | k | v] map
+    # the FFN's four weights, drawn apart from `rng` too, so that every other
+    # case keeps its inputs
+    ffn = np.random.default_rng(2)
+    ffn_weights = [ffn.normal(size=s) for s in ((6, 3, 1, 1), (6,), (3, 6, 1, 1), (3,))]
     cases = [
         ("add", lambda a, b: scalarize(T.add(a, b), p6), [r(2, 3), r(2, 3)]),
         ("add bias broadcast", lambda a, b: scalarize(T.add(a, b), p12),
          [r(2, 2, 3), r(3)]),
         ("scale", lambda a: scalarize(scale(a, -1.7), p6), [r(2, 3)]),
-        ("gelu", lambda a: scalarize(T.gelu(a), p6), [r(2, 3)]),
+        ("conv_ffn", lambda y, *w: scalarize(conv_ffn(y, *w), p6), [r(2, 3)] + ffn_weights),
         ("matmul", lambda a, b: scalarize(T.matmul(a, b), p6),
          [r(3, 4), r(4, 2)]),
         ("matmul batched", lambda a, b: scalarize(T.matmul(a, b), p12),

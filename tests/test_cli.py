@@ -247,7 +247,7 @@ def test_non_finite_loss_stops_training_without_artifacts(pipeline, tmp_path, ca
 
 
 def test_non_finite_gradient_stops_training_without_artifacts(pipeline, tmp_path, capsys,
-                                                             nan_gelu_backward):
+                                                             nan_ffn_backward):
     out = tmp_path / "run"
     expect_error(["train", "--config", str(pipeline["cfg"]), "--out", str(out)],
                  "non-finite gradient at step 0", capsys)

@@ -9,6 +9,8 @@ from padformer import tensor as T
 from padformer.attention import multiscale_attention
 from padformer.model import ModelConfig, cross_entropy, forward, init_params, predict_score
 
+from test_gradients import gelu
+
 # the benchmark workloads' model shapes, with fewer frames where the full
 # clip would only make the test slower
 SHAPES = {
@@ -72,10 +74,11 @@ def test_record_rejects_a_dtype_change():
 
 
 def test_gelu_keeps_float32():
-    x = T.param(np.linspace(-3.0, 3.0, 7, dtype=np.float32))
+    # the FFN's GELU (identity 1x1 kernels): Python-float coefficients never promote
+    x = T.param(np.linspace(-3.0, 3.0, 7, dtype=np.float32).reshape(7, 1))
     with T.Tape():
-        y = T.gelu(x)
-        T.backward(T.mean(y, (0,)))
+        y = gelu(x)
+        T.backward(T.mean(y, (0, 1)))
     assert y.data.dtype == np.float32
     assert x.grad.dtype == np.float32
 

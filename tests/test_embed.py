@@ -6,12 +6,13 @@ from hypothesis import strategies as st
 
 from padformer import tensor as T
 from padformer.attention import conv_project, multiscale_attention
-from padformer.embed import VideoClip, conv_ffn, conv_token_embed
+from padformer.embed import VideoClip, conv_ffn, conv_token_embed, normal_cdf
 
-from oracles import conv2d_backward_naive, conv2d_naive
+from oracles import (conv2d_backward_naive, conv2d_naive, ffn_naive, gelu_exact,
+                     normal_cdf_exact)
 from gradcheck import scalarize
 from test_attention import thirds
-from test_gradients import check
+from test_gradients import check, gelu
 
 
 def identity_kernel(c, k, dtype=np.float32):
@@ -218,12 +219,94 @@ def test_ffn_zero_weights_zero_output():
     assert np.array_equal(out.data, np.zeros_like(y.data))
 
 
+# |normal_cdf - Phi| on every float32 the sweep below tests (float64 is closer)
+PHI_BOUND = 2.0 ** -23
+# |d/dh (h * normal_cdf(h)) - (Phi + h * phi)| in float64, the slope the
+# backward multiplies by, over the same sweep
+SLOPE_BOUND = 2.0 ** -20
+
+
+def test_normal_cdf_is_within_one_float32_step_of_phi():
+    x = np.concatenate([np.linspace(-12.0, 12.0, 2 ** 20 + 1),
+                        [0.0, 1e30, -1e30, np.inf, -np.inf]]).astype(np.float32)
+    with np.errstate(over="ignore"):        # x * x is inf at +-1e30
+        got = normal_cdf(x)
+    assert got.dtype == np.float32
+    err = np.abs(got.astype(np.float64) - normal_cdf_exact(x))
+    assert err.max() <= PHI_BOUND, x[err.argmax()]
+    assert np.isnan(normal_cdf(np.full(3, np.nan, dtype=np.float32))).all()
+
+
+@settings(max_examples=300, deadline=None)
+@given(v=st.floats(-12.0, 12.0, width=32))
+def test_normal_cdf_bound_holds_at_drawn_float32s(v):
+    got = normal_cdf(np.array([v], dtype=np.float32))
+    assert abs(float(got[0]) - normal_cdf_exact([v])[0]) <= PHI_BOUND
+
+
+def test_ffn_slope_is_within_its_bound_of_the_exact_gelu_slope():
+    # with 1x1 identity kernels and zero biases the input gradient is the slope
+    x = T.param(np.linspace(-12.0, 12.0, 2 ** 20 + 1).reshape(-1, 1))
+    with T.Tape():
+        T.backward(scalarize(gelu(x), np.ones(x.size)))
+    _, want = gelu_exact(x.data)
+    assert np.abs(x.grad - want).max() <= SLOPE_BOUND
+
+
 def test_ffn_identity_convs_reduce_to_gelu():
-    y = T.tensor(np.random.default_rng(8).standard_normal((2, 3, 3, 4)))
-    wid = T.tensor(identity_kernel(4, 1))
-    b = zeros(4)
-    out = conv_ffn(y, wid, b, wid, b)
-    assert np.allclose(out.data, T.gelu(y).data, atol=1e-7)
+    y = np.random.default_rng(8).standard_normal((2, 3, 3, 4))
+    wid = T.tensor(identity_kernel(4, 1, np.float64), dtype=np.float64)
+    b = T.tensor(np.zeros(4), dtype=np.float64)
+    out = conv_ffn(T.tensor(y, dtype=np.float64), wid, b, wid, b)
+    want, _ = gelu_exact(y)
+    assert np.all(np.abs(out.data - want) <= PHI_BOUND * np.abs(y))
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10_000), b=st.sampled_from([None, 1, 2]), t=st.integers(1, 3),
+       c=st.integers(1, 4), ratio=st.integers(1, 4), h=st.integers(1, 3), w=st.integers(1, 3),
+       spread=st.sampled_from([0.1, 1.0, 3.0]))
+def test_fused_ffn_matches_the_unfused_oracle(seed, b, t, c, ratio, h, w, spread):
+    # Tolerance from the two bounds above: the GELU's value is off by at most
+    # |h| * PHI_BOUND and its slope by SLOPE_BOUND, and each error reaches an
+    # output or a gradient through GEMMs, so it is bounded by the same GEMM
+    # on absolute values; 1e-10 covers float64 rounding.
+    lead = (t,) if b is None else (b, t)
+    rng = np.random.default_rng(seed)
+    hid = ratio * c
+    y = rng.normal(size=lead + (h, w, c))
+    w1, b1 = rng.normal(scale=spread, size=(hid, c, 1, 1)), rng.normal(size=hid)
+    w2, b2 = rng.normal(size=(c, hid, 1, 1)), rng.normal(size=c)
+    g = rng.normal(size=y.shape)
+    params = [T.param(a) for a in (y, w1, b1, w2, b2)]
+    with T.Tape():
+        out = conv_ffn(*params)
+        T.backward(scalarize(out, g))
+    want, want_grads = ffn_naive(channels_first(y), w1, b1, w2, b2, channels_first(g))
+
+    y2, g2 = np.abs(y.reshape(-1, c)), g.reshape(-1, c)
+    w1m, w2m = w1.reshape(hid, c), w2.reshape(c, hid)
+    da = PHI_BOUND * np.abs(y.reshape(-1, c) @ w1m.T + b1)
+    dgh = SLOPE_BOUND * np.abs(g2 @ w2m)
+    tol = {"out": da @ np.abs(w2m).T, "y": dgh @ np.abs(w1m), "w1": dgh.T @ y2,
+           "b1": dgh.sum(axis=0), "w2": np.abs(g2).T @ da, "b2": np.zeros(c)}
+    got = {"out": out.data, "y": params[0].grad}
+    got.update(zip(["w1", "b1", "w2", "b2"], (p.grad for p in params[1:])))
+    ref = {"out": channels_last(want, y.shape), "y": channels_last(want_grads[0], y.shape)}
+    ref.update(zip(["w1", "b1", "w2", "b2"], want_grads[1:]))
+    for name, bound in tol.items():
+        err = np.abs(got[name] - ref[name]).reshape(bound.shape)
+        assert np.all(err <= bound + 1e-10), (name, (err - bound).max())
+
+
+def test_ffn_records_one_tape_node():
+    rng = np.random.default_rng(13)
+    operands = [T.param(rng.normal(size=s)) for s in ((2, 3, 3, 4), (8, 4, 1, 1), (8,),
+                                                      (4, 8, 1, 1), (4,))]
+    with T.Tape() as tape:
+        out = conv_ffn(*operands)
+        assert len(tape.nodes) == 1 and tape.nodes[0].out is out
+        assert tape.nodes[0].parents == tuple(operands)
 
 
 def test_ffn_gradient_check():

@@ -270,7 +270,7 @@ def test_zero_lr_leaves_params_bitwise_unchanged():
         assert np.array_equal(p.data, before[n])
 
 
-def test_non_finite_gradient_stops_the_step(nan_gelu_backward):
+def test_non_finite_gradient_stops_the_step(nan_ffn_backward):
     params = init_params(TINY)
     before = {n: p.data.copy() for n, p in params.items()}
     state = AdamState(params)

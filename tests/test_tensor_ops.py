@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from padformer import tensor as T
 from oracles import conv2d_backward_naive, conv2d_naive, scale, softmax, split
+from test_gradients import gelu
 
 
 def t64(x):
@@ -33,6 +34,22 @@ def test_every_engine_export_is_used_by_the_program():
                     and node.module == "tensor":
                 used.update(alias.name for alias in node.names)
     assert sorted(set(T.__all__) - used) == []
+
+
+def test_only_the_model_module_imports_scipy():
+    # the numeric path is numpy only; scipy serves init_params' truncnorm draws
+    importers = set()
+    for path in Path(T.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            if any(n == "scipy" or n.startswith("scipy.") for n in names):
+                importers.add(path.name)
+    assert importers <= {"model.py"}
 
 
 class TestMatmul:
@@ -290,7 +307,7 @@ class TestBackwardBasics:
             x = T.param([0.5, -1.0, 2.0])
             with T.Tape():
                 h = scale(x, 3.0)
-                T.backward(T.mean(T.gelu(h), axes=(0,)))   # gelu saves h.data
+                T.backward(T.mean(gelu(h), axes=(0,)))   # the FFN saves a view of h.data
                 saved = weakref.ref(h.data)
                 del h
             assert saved() is None

@@ -99,6 +99,14 @@ def test_integer_dtype_rejected(tmp_path):
         vpt.write_tensor(tmp_path / "i.vpt", np.zeros(3, dtype=np.int32))
 
 
+def test_extent_beyond_u32_rejected_on_write(tmp_path):
+    # a zero-size array: nothing is allocated, and no file is left behind
+    path = tmp_path / "wide.vpt"
+    with pytest.raises(vpt.VptFormatError, match=r"extent 4294967296 of shape \(4294967296, 0\)"):
+        vpt.write_tensor(path, np.zeros((2 ** 32, 0), np.float32))
+    assert not path.exists()
+
+
 def test_overflowing_extents_name_the_file(tmp_path):
     # 2**31 * 2**31 * 4 wraps to 0 in int64; the header must still be refused
     path = tmp_path / "huge.vpt"
