@@ -10,9 +10,10 @@ spatial) and cross-frame pairs (long-range, temporal) inside one score matrix.
 Attended patches are placed back at their frame/grid positions, each head in
 its channel slice of the output. Maps are channels-last, [T, H, W, C] for one
 clip or [B, T, H, W, C] for a batch; clips in a batch attend only within
-themselves, as one batched matmul per head. The token layout runs on plain
-arrays, and one layer's attention is a single recorded primitive with a
-hand-written backward.
+themselves. The token layout runs on plain arrays, and one layer's attention
+is a single recorded primitive with a hand-written backward.
+Scores are key-major, [key, query], in cache-sized blocks of clips, and are
+never normalised: the output GEMM against ``[v | 1]`` also gives the row sums.
 """
 
 from __future__ import annotations
@@ -90,6 +91,11 @@ def conv_project(x: Tensor, wq, bq, wk, bk, wv, bv) -> Tensor:
     return tt.conv2d(x, w, b, pad=1)
 
 
+# Score entries per block: a head's clips run max(1, 2**16 // N**2) at a time,
+# so that a block's [N, N] scores stay in cache across their passes
+_BLOCK_SCORES = 1 << 16
+
+
 def multiscale_attention(qkv: Tensor, scales, records: list | None = None,
                          layer: int = 0) -> Tensor:
     """Full multi-scale attention as one primitive with a hand-written backward.
@@ -99,6 +105,14 @@ def multiscale_attention(qkv: Tensor, scales, records: list | None = None,
     head i owns channel slice i of q, k, v and of the [..., C] output, which
     the caller adds residually. When ``records`` is given, one
     ``AttentionRecord`` per head and clip is appended to it.
+
+    Per head and block of clips, ``e[key, query] = exp(k @ (q/sqrt(D))^T -
+    max over keys)``; one GEMM ``e^T @ [v | 1]`` gives the unnormalised output
+    and, in its last column, the row sums, so only the [N, D] output is
+    scaled, by ``r = 1 / rowsum``. ``e`` and ``r`` are saved for the backward,
+    which forms the softmax gradient ``(go @ v^T - delta) * r``, with ``delta
+    = rowsum(go * o)`` (Dao et al. 2022), as the one GEMM ``[v | 1] @ [r * go
+    | -r * delta]^T`` times ``e``.
     """
     lead, c3 = qkv.shape[:-1], qkv.shape[-1]
     heads = len(scales)
@@ -112,36 +126,49 @@ def multiscale_attention(qkv: Tensor, scales, records: list | None = None,
     saved = []
     for i, l in enumerate(scales):
         qt, kt, vt = (partition_patches(parts[..., j, i, :], l) for j in range(3))
-        s = 1.0 / math.sqrt(qt.shape[-1])   # 1/sqrt(D) as a Python float keeps float32
-        # a contiguous k^T: BLAS sums over a transposed view in another order
-        alpha = qt @ np.ascontiguousarray(np.swapaxes(kt, -1, -2))
-        alpha *= s
-        alpha -= alpha.max(axis=-1, keepdims=True)
-        np.exp(alpha, out=alpha)
-        alpha /= alpha.sum(axis=-1, keepdims=True)
-        ot = alpha @ vt
-        out[..., i, :] = unpartition_patches(ot, head_shape, l)
-        saved.append((l, s, qt, kt, vt, alpha, ot))
+        n, d = qt.shape[-2:]
+        s = 1.0 / math.sqrt(d)              # a Python float keeps float32
+        sq, kt = (qt * s).reshape(-1, n, d), kt.reshape(-1, n, d)
+        v1 = np.concatenate([vt.reshape(-1, n, d), np.ones_like(sq[..., :1])], axis=-1)
+        e = np.empty(sq.shape[:-1] + (n,), dtype=qkv.dtype)         # [clip, key, query]
+        num = np.empty_like(v1)
+        step = max(1, _BLOCK_SCORES // (n * n))
+        blocks = [slice(j, j + step) for j in range(0, len(e), step)]
+        for blk in blocks:
+            eb = np.matmul(kt[blk], np.swapaxes(sq[blk], -1, -2), out=e[blk])
+            eb -= eb.max(axis=-2, keepdims=True)
+            np.exp(eb, out=eb)
+            np.matmul(np.swapaxes(eb, -1, -2), v1[blk], out=num[blk])
+        r = 1.0 / num[..., d:]
+        ot = num[..., :d] * r
+        out[..., i, :] = unpartition_patches(ot.reshape(qt.shape), head_shape, l)
+        saved.append((l, qt.shape, s, blocks, sq, kt, v1, e, r, ot))
         if records is not None:
+            alpha = np.swapaxes(e, -1, -2) * r
             records.extend(
-                AttentionRecord(layer=layer, head=i, scale=l, alpha=weights.copy(),
+                AttentionRecord(layer=layer, head=i, scale=l, alpha=weights,
                                 map_h=lead[-2], map_w=lead[-1], clip=clip)
-                for clip, weights in enumerate(alpha.reshape((-1,) + alpha.shape[-2:])))
+                for clip, weights in enumerate(alpha))
 
     def back(g):
-        # softmax backward without an [N, N] product for its row sums:
-        # rowsum(dalpha * alpha) = rowsum(go * o) (Dao et al. 2022)
         g = g.reshape(out.shape)
         grad = np.empty_like(parts)
-        for i, (l, s, qt, kt, vt, alpha, ot) in enumerate(saved):
-            go = partition_patches(g[..., i, :], l)
-            da = go @ np.swapaxes(vt, -1, -2)
-            da -= (go * ot).sum(axis=-1, keepdims=True)
-            da *= alpha
-            tokens = (s * (da @ kt), s * (np.swapaxes(da, -1, -2) @ qt),
-                      np.swapaxes(alpha, -1, -2) @ go)
-            for j, t in enumerate(tokens):
-                grad[..., j, i, :] = unpartition_patches(t, head_shape, l)
+        for i, (l, tokens, s, blocks, sq, kt, v1, e, r, ot) in enumerate(saved):
+            d = ot.shape[-1]
+            go = partition_patches(g[..., i, :], l).reshape(ot.shape)
+            w = np.empty_like(v1)                               # [r * go | -r * delta]
+            np.multiply(go, r, out=w[..., :d])
+            w[..., d] = -np.einsum("...i,...i", w[..., :d], ot)
+            dq, dk, dv = (np.empty_like(ot) for _ in range(3))
+            for blk in blocks:
+                ds = v1[blk] @ np.swapaxes(w[blk], -1, -2)      # [clip, key, query]
+                ds *= e[blk]
+                np.matmul(np.swapaxes(ds, -1, -2), kt[blk], out=dq[blk])
+                np.matmul(ds, sq[blk], out=dk[blk])
+                np.matmul(e[blk], w[blk, :, :d], out=dv[blk])
+            dq *= s
+            for j, t in enumerate((dq, dk, dv)):
+                grad[..., j, i, :] = unpartition_patches(t.reshape(tokens), head_shape, l)
         return (grad.reshape(qkv.shape),)
 
     return tt.record(out.reshape(lead + (heads * width,)), (qkv,), back)

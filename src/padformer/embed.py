@@ -73,8 +73,9 @@ def _poly(coeffs, u: np.ndarray) -> np.ndarray:
 def normal_cdf(x: np.ndarray) -> np.ndarray:
     """Phi(x) ~ 0.5 * (1 + tanh(x * P(x**2))) in numpy, within 2**-23 of
     float64 ``math.erf``'s Phi on every float32 tested ([-12, 12], +-1e30,
-    +-inf; NaN stays NaN). P's leading coefficient is positive, so tanh
-    saturates to 0 and 1 without a clamp."""
+    +-inf; NaN stays NaN). x is clipped to [-20, 20], where tanh is already
+    +-1 in float32 and float64, so the Horner terms cannot overflow."""
+    x = np.clip(x, -20.0, 20.0)
     t = _poly(_CDF_COEFFS, x * x)
     t *= x
     np.tanh(t, out=t)
