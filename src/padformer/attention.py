@@ -1,17 +1,18 @@
 """Multi-scale multi-head self-attention over patches stacked across frames.
 
-One 3x3 convolution projects a layer's input into a single [..., 3C] map of
-q, k and v at channel offsets 0, C and 2C; this module writes that order and
-reads it. Each head partitions its channel slice of q, k and v into an l x l
-grid per frame (l is the head's scale divisor), flattens every grid cell into
-one token, and stacks the tokens of all T frames into a single sequence of
-N = T * l**2 patches. Attention therefore mixes same-frame pairs (short-range,
-spatial) and cross-frame pairs (long-range, temporal) inside one score matrix.
-Attended patches are placed back at their frame/grid positions, each head in
-its channel slice of the output. Maps are channels-last, [T, H, W, C] for one
-clip or [B, T, H, W, C] for a batch; clips in a batch attend only within
-themselves. The token layout runs on plain arrays, and one layer's attention
-is a single recorded primitive with a hand-written backward.
+One 3x3 convolution, its kernel stored as one [3C, C, 3, 3] tensor, projects a
+layer's input into a single [..., 3C] map of q, k and v at channel offsets 0,
+C and 2C; this module writes that order and reads it. Each head partitions its
+channel slice of q, k and v into an l x l grid per frame (l is the head's
+scale divisor), flattens every grid cell into one token, and stacks the tokens
+of all T frames into a single sequence of N = T * l**2 patches. Attention
+therefore mixes same-frame pairs (short-range, spatial) and cross-frame pairs
+(long-range, temporal) inside one score matrix. Attended patches are placed
+back at their frame/grid positions, each head in its channel slice of the
+output. Maps are channels-last, [T, H, W, C] for one clip or [B, T, H, W, C]
+for a batch; clips in a batch attend only within themselves. The token layout
+runs on plain arrays, and one layer's attention is a single recorded primitive
+with a hand-written backward.
 Scores are key-major, [key, query], in cache-sized blocks of clips, and are
 never normalised: the output GEMM against ``[v | 1]`` also gives the row sums.
 """
@@ -77,17 +78,15 @@ def unpartition_patches(tokens: np.ndarray, shape: tuple, scale: int) -> np.ndar
     return g.reshape(shape)
 
 
-def conv_project(x: Tensor, wq, bq, wk, bk, wv, bv) -> Tensor:
-    """The [q | k | v] map of three 3x3 stride-1 convolutions, run as one.
+def conv_project(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """The [q | k | v] map: one 3x3 stride-1 convolution with 3C outputs.
 
-    The kernels and biases are concatenated at forward time into one
-    convolution with 3C outputs (one im2col copy and one GEMM); its
-    [..., 3C] map goes to ``multiscale_attention`` whole. The parameters
-    stay three tensors, so the checkpoint keeps them apart; their gradients
-    flow back through ``concat``.
+    ``w`` [3C, C, 3, 3] and ``b`` [3C] hold the q, k and v kernels at output
+    offsets 0, C and 2C. It stays a named function for two reasons: this
+    module owns that channel order, which ``multiscale_attention`` reads, and
+    perfbench's tracer patches ``model.conv_project`` to time it as the
+    ``layers.i.qkv`` component.
     """
-    w = tt.concat([wq, wk, wv], axis=0)
-    b = tt.concat([bq, bk, bv], axis=0)
     return tt.conv2d(x, w, b, pad=1)
 
 

@@ -9,6 +9,7 @@ an empty file parses to the default run.
 from __future__ import annotations
 
 import dataclasses
+import math
 from pathlib import Path
 
 from .model import ModelConfig
@@ -33,6 +34,11 @@ def _post_init(self):
         raise ConfigError("batch_size must be >= 1 and steps >= 0")
     if not 0 <= self.warmup_frac <= 1:
         raise ConfigError("warmup_frac must lie in [0, 1]")
+    if not 0 < self.lr < math.inf:
+        raise ConfigError(f"lr must be finite and > 0, got {self.lr!r}")
+    for name in ("beta1", "beta2"):
+        if not 0 <= getattr(self, name) < 1:
+            raise ConfigError(f"{name} must lie in [0, 1), got {getattr(self, name)!r}")
     if self.source_frames < self.frames:
         raise ConfigError(f"source_frames {self.source_frames} < clip length "
                           f"{self.frames}")
@@ -89,9 +95,12 @@ def _parse_value(field, raw: str, line_no: int):
             raise ConfigError(f"line {line_no}: invalid int for {name!r}: {text!r}")
     if field.type in ("float", float):
         try:
-            return float(text)
+            value = float(text)
         except ValueError:
             raise ConfigError(f"line {line_no}: invalid float for {name!r}: {text!r}")
+        if not math.isfinite(value):
+            raise ConfigError(f"line {line_no}: non-finite float for {name!r}: {text!r}")
+        return value
     if field.type in ("bool", bool):
         if text == "true":
             return True

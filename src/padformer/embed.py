@@ -3,12 +3,12 @@
 A clip is tokenized per frame by a single non-overlapping convolution (kernel
 extent equal to its stride), run as a patchify matmul, producing a token map
 without any positional encoding, and the transformer's feed-forward block is
-1x1 conv -> GELU -> 1x1 conv, recorded as one primitive (the Q/K/V
-projection lives with the attention that reads its channel order, in
-``attention.py``). No operation here owns positional parameters. Token maps
-are channels-last ([B, T, H, W, C] for B clips); both stages fold the
-leading axes into the rows of one GEMM. Kernel shapes are fixed by
-``model.parameter_shapes`` and checked where weights enter
+1x1 conv -> GELU -> 1x1 conv, recorded as one primitive (the Q/K/V projection,
+one convolution over one stored ``qkv`` kernel, lives with the attention that
+reads its channel order, in ``attention.py``). No operation here owns
+positional parameters. Token maps are channels-last ([B, T, H, W, C] for B
+clips); both stages fold the leading axes into the rows of one GEMM. Kernel
+shapes are fixed by ``model.parameter_shapes`` and checked where weights enter
 (``load_checkpoint``), not here.
 """
 

@@ -2,13 +2,14 @@
 
 A clip [T, 3, H, W] is tokenized per frame by a strided convolution, passed
 through ``depth`` transformer layers (a convolution projecting one [q | k | v]
-map, multi-scale attention on it with residual, channel norm, convolutional
-feed-forward with residual), mean-pooled over frames and space, and mapped
-linearly to two logits (attack / bona fide). No class token and no positional
-encoding; the convolutions carry all spatial structure, so logits are
-invariant to frame order. A batch of B clips [B, T, 3, H, W] runs as one graph
-whose activations stay channels-last, [B, T, H, W, C], from the embed to the
-pool; each head attends clip by clip in one batched matmul; one clip is B=1.
+map from one stored ``qkv`` kernel and bias, multi-scale attention on it with
+residual, channel norm, convolutional feed-forward with residual), mean-pooled
+over frames and space, and mapped linearly to two logits (attack / bona fide).
+No class token and no positional encoding; the convolutions carry all spatial
+structure, so logits are invariant to frame order. A batch of B clips
+[B, T, 3, H, W] runs as one graph whose activations stay channels-last,
+[B, T, H, W, C], from the embed to the pool; each head attends clip by clip in
+one batched matmul; one clip is B=1.
 """
 
 from __future__ import annotations
@@ -82,9 +83,10 @@ def parameter_shapes(cfg: ModelConfig) -> dict:
         "embed.bias": (c,),
     }
     for i in range(cfg.depth):
-        for nm in ("q", "k", "v"):
-            shapes[f"layers.{i}.{nm}.weight"] = (c, c, 3, 3)
-            shapes[f"layers.{i}.{nm}.bias"] = (c,)
+        # [q | k | v] on the output axis; the k third of the bias cannot move
+        # the logits but stays, so the projection is one conv2d with one bias
+        shapes[f"layers.{i}.qkv.weight"] = (3 * c, c, 3, 3)
+        shapes[f"layers.{i}.qkv.bias"] = (3 * c,)
         shapes[f"layers.{i}.norm.gamma"] = (c,)
         shapes[f"layers.{i}.norm.beta"] = (c,)
         shapes[f"layers.{i}.ffn1.weight"] = (hid, c, 1, 1)
@@ -130,11 +132,8 @@ def forward(clip, params: dict, cfg: ModelConfig, records: list | None = None) -
     x = conv_token_embed(frames.reshape((-1,) + want), params["embed.weight"],
                          params["embed.bias"], cfg.embed_stride)
     for i in range(cfg.depth):
-        qkv = conv_project(
-            x,
-            params[f"layers.{i}.q.weight"], params[f"layers.{i}.q.bias"],
-            params[f"layers.{i}.k.weight"], params[f"layers.{i}.k.bias"],
-            params[f"layers.{i}.v.weight"], params[f"layers.{i}.v.bias"])
+        qkv = conv_project(x, params[f"layers.{i}.qkv.weight"],
+                           params[f"layers.{i}.qkv.bias"])
         h = multiscale_attention(qkv, cfg.scales, records=records, layer=i)
         y = tt.add(h, x)
         normed = tt.layer_norm(y, params[f"layers.{i}.norm.gamma"],

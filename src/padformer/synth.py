@@ -53,7 +53,7 @@ class SynthSpec:
 
     def __post_init__(self):
         for name in ("texture_amp", "pulse_amp", "noise_sigma"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:         # NaN fails too
                 raise ValueError(f"{name} must be >= 0")
         if self.pulse_freq_min > self.pulse_freq_max:
             raise ValueError("pulse_freq_min must not exceed pulse_freq_max")

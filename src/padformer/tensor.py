@@ -24,7 +24,7 @@ import numpy as np
 __all__ = [
     "Tensor", "Tape", "ShapeError", "tensor", "param", "record", "backward",
     "add", "matmul", "conv2d",
-    "layer_norm", "reshape", "transpose", "concat",
+    "layer_norm", "reshape", "transpose",
     "mean", "AdamState", "adam_step",
 ]
 
@@ -350,27 +350,6 @@ def transpose(x: Tensor, axes) -> Tensor:
         raise ShapeError(f"transpose: axes {axes} not a permutation of rank {x.data.ndim}")
     inv = tuple(np.argsort(axes))
     return record(x.data.transpose(axes), (x,), lambda g: (g.transpose(inv),))
-
-
-def concat(parts, axis: int) -> Tensor:
-    parts = list(parts)
-    if not parts:
-        raise ValueError("concat: need at least one tensor")
-    axis = axis % parts[0].data.ndim
-    base = list(parts[0].data.shape)
-    for p in parts[1:]:
-        other = list(p.data.shape)
-        if len(other) != len(base) or any(
-                o != b for i, (o, b) in enumerate(zip(other, base)) if i != axis):
-            raise ShapeError(
-                f"concat: non-axis extents differ, {parts[0].data.shape} vs {p.data.shape}")
-    sizes = [p.data.shape[axis] for p in parts]
-    bounds = np.cumsum(sizes)[:-1]
-
-    def back(g):
-        return tuple(np.ascontiguousarray(piece) for piece in np.split(g, bounds, axis=axis))
-
-    return record(np.concatenate([p.data for p in parts], axis=axis), tuple(parts), back)
 
 
 def mean(x: Tensor, axes) -> Tensor:

@@ -7,8 +7,8 @@ constants, which are its inputs. The unfused feed-forward block is the loop
 ``padformer.embed.conv_ffn`` replaced with one primitive. The unfused
 multi-scale attention at the end is the composition of taped
 primitives that ``padformer.attention.multiscale_attention`` replaced with one
-primitive; it keeps its own ``scale``, ``softmax`` and ``split`` primitives,
-and the finite-difference suite checks them.
+primitive; it keeps its own ``scale``, ``softmax``, ``split`` and ``concat``
+primitives, and the finite-difference suite checks them.
 """
 
 import math
@@ -276,6 +276,28 @@ def split(x, parts, axis):
     return outs
 
 
+def concat(parts, axis):
+    """Differentiable concatenation along ``axis``; inverse of split. The
+    gradient is cut back into one contiguous slice per part."""
+    parts = list(parts)
+    if not parts:
+        raise ValueError("concat: need at least one tensor")
+    axis = axis % parts[0].data.ndim
+    base = list(parts[0].data.shape)
+    for p in parts[1:]:
+        other = list(p.data.shape)
+        if len(other) != len(base) or any(
+                o != b for i, (o, b) in enumerate(zip(other, base)) if i != axis):
+            raise T.ShapeError(
+                f"concat: non-axis extents differ, {parts[0].data.shape} vs {p.data.shape}")
+    bounds = np.cumsum([p.data.shape[axis] for p in parts])[:-1]
+
+    def back(g):
+        return tuple(np.ascontiguousarray(piece) for piece in np.split(g, bounds, axis=axis))
+
+    return T.record(np.concatenate([p.data for p in parts], axis=axis), tuple(parts), back)
+
+
 def partition_taped(f, scale_):
     """``attention.partition_patches`` as taped reshape/transpose on a Tensor."""
     *lead, t, h, w, c = f.shape
@@ -317,4 +339,4 @@ def multiscale_attention_unfused(qkv, scales):
         attended, _ = head_attention(partition_taped(qs[i], l), partition_taped(ks[i], l),
                                      partition_taped(vs[i], l))
         maps.append(unpartition_taped(attended, qs[i].shape, l))
-    return maps[0] if len(maps) == 1 else T.concat(maps, axis=-1)
+    return maps[0] if len(maps) == 1 else concat(maps, axis=-1)

