@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import truncnorm
 
 from . import tensor as tt
 from . import vpt
@@ -49,8 +48,9 @@ class ModelConfig:
             raise ValueError(f"need at least one frame, got {self.frames}")
         if self.depth < 0:
             raise ValueError(f"depth must be >= 0, got {self.depth}")
-        if self.ffn_ratio < 1:
-            raise ValueError(f"ffn_ratio must be >= 1, got {self.ffn_ratio}")
+        for name in ("embed_stride", "embed_channels", "ffn_ratio"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.height % self.embed_stride or self.width % self.embed_stride:
             raise ValueError(
                 f"frame extent {self.height}x{self.width} not divisible by "
@@ -109,8 +109,10 @@ def init_params(cfg: ModelConfig, dtype=np.float32) -> dict:
         elif name.endswith(".bias") or name.endswith("norm.beta"):
             data = np.zeros(shape, dtype=dtype)
         else:
-            data = truncnorm.rvs(-2.0, 2.0, scale=INIT_STD, size=shape,
-                                 random_state=rng).astype(dtype)
+            data = rng.standard_normal(shape)
+            while (out := np.abs(data) > 2.0).any():    # cut at 2 sigma: draw those again
+                data[out] = rng.standard_normal(np.count_nonzero(out))
+            data = (INIT_STD * data).astype(dtype)
         params[name] = tt.param(data)
     return params
 
@@ -269,9 +271,9 @@ def save_checkpoint(path, params: dict, config_text: str = ""):
             (root / "config.cfg").write_text(config_text, encoding="utf-8")
 
 
-def load_checkpoint(path, cfg: ModelConfig | None = None) -> dict:
-    """Read a checkpoint back into trainable tensors; with ``cfg`` given,
-    validate the full inventory (names and shapes) against it."""
+def load_checkpoint(path, cfg: ModelConfig) -> dict:
+    """Read a checkpoint back into trainable tensors and validate the full
+    inventory (names and shapes) against ``cfg``."""
     root = Path(path)
     manifest = root / "manifest.tsv"
     if not manifest.is_file():
@@ -289,16 +291,15 @@ def load_checkpoint(path, cfg: ModelConfig | None = None) -> dict:
         if name in params:
             raise ValueError(f"{where}: duplicate tensor name {name!r}")
         params[name] = tt.param(vpt.read_member(root, rel, where))
-    if cfg is not None:
-        want = parameter_shapes(cfg)
-        missing = sorted(set(want) - set(params))
-        extra = sorted(set(params) - set(want))
-        if missing or extra:
+    want = parameter_shapes(cfg)
+    missing = sorted(set(want) - set(params))
+    extra = sorted(set(params) - set(want))
+    if missing or extra:
+        raise ShapeError(
+            f"checkpoint inventory mismatch: missing {missing}, unexpected {extra}")
+    for name, shape in want.items():
+        if params[name].shape != shape:
             raise ShapeError(
-                f"checkpoint inventory mismatch: missing {missing}, unexpected {extra}")
-        for name, shape in want.items():
-            if params[name].shape != shape:
-                raise ShapeError(
-                    f"checkpoint tensor {name} has shape {params[name].shape}, "
-                    f"config expects {shape}")
+                f"checkpoint tensor {name} has shape {params[name].shape}, "
+                f"config expects {shape}")
     return params

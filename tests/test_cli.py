@@ -269,8 +269,9 @@ def test_train_rejects_beta1_of_one_before_any_step(pipeline, tmp_path, capsys):
 
 def test_eval_refuses_a_six_tensor_checkpoint(pipeline, tmp_path, capsys):
     old = tmp_path / "checkpoint"
-    save_checkpoint(old, six_tensor_format(load_checkpoint(pipeline["checkpoint"])),
-                    (pipeline["checkpoint"] / "config.cfg").read_text(encoding="utf-8"))
+    echo = (pipeline["checkpoint"] / "config.cfg").read_text(encoding="utf-8")
+    params = load_checkpoint(pipeline["checkpoint"], parse_config(echo).model_config())
+    save_checkpoint(old, six_tensor_format(params), echo)
     expect_error(["eval", "--checkpoint", str(old), "--out", str(tmp_path / "report.csv")],
                  "checkpoint inventory mismatch: missing ['layers.0.qkv.bias'", capsys)
     assert not (tmp_path / "report.csv").exists()
@@ -281,6 +282,14 @@ def test_bad_config_reports_line_number(tmp_path, capsys):
     bad.write_text("steps=5\nlr=fast\n", encoding="utf-8")
     expect_error(["count-cost", "--config", str(bad)],
                  "line 2: invalid float for 'lr'", capsys)
+
+
+def test_count_cost_rejects_a_zero_stride(tmp_path, capsys):
+    # checked before the divisibility checks, which would divide by the stride
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("embed_stride=0\n", encoding="utf-8")
+    expect_error(["count-cost", "--config", str(bad)],
+                 "embed_stride must be >= 1, got 0", capsys)
 
 
 def test_eval_rejects_a_top_level_config(pipeline, tmp_path, capsys):

@@ -175,6 +175,15 @@ def test_invalid_model_or_data_keys_fail_at_parse():
         parse_config("noise_sigma=-1\n")
 
 
+@pytest.mark.parametrize("key, value", [("embed_stride", 0), ("embed_stride", -8),
+                                        ("embed_channels", 0), ("embed_channels", -12)])
+def test_stride_and_channel_count_below_one_fail_at_construction(key, value):
+    # checked before the stride divides the frame extent; a negative count
+    # would give negative costs
+    with pytest.raises(ConfigError, match=rf"^{key} must be >= 1, got {value}$"):
+        RunConfig(**{key: value})
+
+
 def test_model_config_and_synth_spec_share_seed_and_geometry():
     cfg = parse_config("seed=11\nheight=16\nwidth=16\nframes=2\n"
                        "embed_channels=6\nscales=1,2\nsource_frames=4\n")

@@ -13,8 +13,8 @@ from padformer import tensor as T
 from padformer.config import ConfigError, RunConfig
 from padformer.embed import VideoClip
 from padformer.harness import train_model
-from padformer.model import (ModelConfig, augment_frames, cross_entropy,
-                             forward, init_params, load_checkpoint,
+from padformer.model import (INIT_STD, ModelConfig, augment_frames,
+                             cross_entropy, forward, init_params, load_checkpoint,
                              param_count, parameter_shapes, predict_score,
                              sample_frames, save_checkpoint, train_step,
                              zero_grads)
@@ -196,6 +196,25 @@ def test_parameter_inventory_is_stable():
     for name in a:
         assert a[name].shape == b[name].shape
         assert np.array_equal(a[name].data, b[name].data)
+
+
+def test_init_weights_are_truncated_normal():
+    cfg = ModelConfig(embed_channels=96, depth=4, seed=5)
+    params = init_params(cfg)
+    weights = np.concatenate([p.data.ravel() for n, p in params.items()
+                              if n.endswith(".weight")])
+    assert weights.size > 1_000_000
+    assert np.abs(weights).max() <= 2 * INIT_STD
+    # std of a unit normal cut at +-2: sqrt(1 - 4 phi(2) / (2 Phi(2) - 1)) = 0.87962
+    assert abs(weights.astype(np.float64).std() / (0.87962 * INIT_STD) - 1) < 0.01
+    for name, p in params.items():
+        if name.endswith(".bias") or name.endswith("norm.beta"):
+            assert not p.data.any(), name
+        elif name.endswith("norm.gamma"):
+            assert (p.data == 1).all(), name
+    wide = init_params(cfg, dtype=np.float64)
+    for name, p in params.items():
+        assert np.array_equal(wide[name].data.astype(np.float32), p.data), name
 
 
 def test_inventory_matches_declared_shapes():
@@ -473,7 +492,7 @@ def test_checkpoint_manifest_line_without_tab_names_the_line(tmp_path):
     lines[1] = lines[1].replace("\t", " ")
     manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with pytest.raises(ValueError, match=r"manifest\.tsv line 2: expected name<TAB>path"):
-        load_checkpoint(tmp_path / "ckpt")
+        load_checkpoint(tmp_path / "ckpt", TINY)
 
 
 def test_checkpoint_duplicate_tensor_name_names_the_line(tmp_path):
@@ -495,7 +514,7 @@ def test_checkpoint_path_outside_its_root_rejected(tmp_path):
         (tmp_path / "ckpt" / "manifest.tsv").write_text(
             f"head.bias\t{rel}\n", encoding="utf-8")
         with pytest.raises(ValueError, match=r"manifest\.tsv line 1: .*resolves outside"):
-            load_checkpoint(tmp_path / "ckpt")
+            load_checkpoint(tmp_path / "ckpt", TINY)
 
 
 def test_interrupted_checkpoint_overwrite_keeps_the_old_one(tmp_path, fail_writes_after):
