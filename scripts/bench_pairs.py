@@ -139,16 +139,22 @@ def traced_record(runs: dict) -> dict:
 
 def claim_verdict(record: dict, workload: str, metric: str) -> dict:
     """A gain counts over at least ten pairs when the change wins nine tenths
-    of them and the median gap exceeds the parent's interquartile range."""
-    m = record[workload]["metrics"][metric]
+    of them and the median gap exceeds the parent's interquartile range, and
+    only while every change run is correct and no larger share of the
+    change's operations fails than of the parent's."""
+    w = record[workload]
+    m = w["metrics"][metric]
     gap = abs(m["change"]["median"] - m["parent"]["median"])
     better = m["worse_by_share"] < 0
-    pairs = record[workload]["pairs"]
+    pairs = w["pairs"]
+    failed_share = {s: w["failed"][s] / max(w["attempted"][s], 1) for s in ("parent", "change")}
+    sound = w["correct"]["change"] and failed_share["change"] <= failed_share["parent"]
     return {"workload": workload, "metric": metric, "pairs": pairs,
             "change_wins_pairs": m["change_wins_pairs"],
             "median_gap": round(gap, 4), "parent_iqr": m["parent_iqr"],
-            "met": bool(better and pairs >= 10 and m["change_wins_pairs"] >= 0.9 * pairs
-                        and gap > m["parent_iqr"])}
+            "change_correct": w["correct"]["change"], "failed_share": failed_share,
+            "met": bool(sound and better and pairs >= 10
+                        and m["change_wins_pairs"] >= 0.9 * pairs and gap > m["parent_iqr"])}
 
 
 def parse_args(argv=None):

@@ -125,10 +125,8 @@ def cmd_export_attention(args) -> int:
     else:
         record = split_records(records, "test")[0]
 
-    clip = sample_frames(record.frames, mcfg.frames, "uniform",
-                         label=record.label, clip_id=record.clip_id)
     recs = []
-    forward(clip, params, mcfg, records=recs)
+    forward(sample_frames(record.frames, mcfg.frames).frames, params, mcfg, records=recs)
     rec = next(r for r in recs if r.layer == args.layer and r.head == args.head)
 
     out = Path(args.out)

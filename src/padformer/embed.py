@@ -14,27 +14,10 @@ shapes are fixed by ``model.parameter_shapes`` and checked where weights enter
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import tensor as tt
-from .tensor import ShapeError, Tensor
-
-
-@dataclass
-class VideoClip:
-    """T frames of 3xHxW pixels in [0, 1] plus the binary label (1 = bona fide)."""
-
-    frames: np.ndarray
-    label: int
-    clip_id: str = ""
-
-    def __post_init__(self):
-        if self.frames.ndim != 4 or self.frames.shape[1] != 3:
-            raise ShapeError(f"clip frames must be [T, 3, H, W], got {self.frames.shape}")
-        if self.frames.shape[0] < 1:
-            raise ShapeError("clip needs at least one frame")
+from .tensor import Tensor
 
 
 def conv_token_embed(frames: np.ndarray, w: Tensor, b: Tensor, stride: int) -> Tensor:

@@ -2,7 +2,8 @@
 
 All randomness (batch order, frame sampling, augmentation) flows from the run
 seed through named streams, so two runs with the same config produce
-byte-identical logs and checkpoints.
+byte-identical logs and checkpoints. A training batch is arrays from the
+store to the loss; evaluation scores one ``VideoClip`` at a time.
 """
 
 from __future__ import annotations
@@ -13,11 +14,11 @@ import numpy as np
 
 from .config import RunConfig
 from .metrics import MetricReport, compute_metrics, select_threshold
-from .model import (ModelConfig, augment_frames, init_params, predict_score,
-                    sample_frames, train_step)
+from .model import (ModelConfig, augment_frames, frame_indices, init_params,
+                    predict_score, sample_frames, train_step)
 from .rng import stream
 from .synth import split_records
-from .tensor import AdamState
+from .tensor import AdamState, ShapeError
 
 
 @dataclass
@@ -36,16 +37,23 @@ def lr_at(step: int, base_lr: float, total_steps: int, warmup_frac: float) -> fl
 
 
 def make_batch(records, cfg: RunConfig, batch_rng, sample_rng, augment_rng):
+    """(frames [B, T, 3, H, W] in the clips' dtype, int labels [B]): each pick
+    gathers its T sampled frames, then writes them (augmented) into its slot."""
     picks = batch_rng.integers(0, len(records), size=cfg.batch_size)
-    batch = []
-    for i in picks:
+    want = (3, cfg.height, cfg.width)
+    frames = np.empty((cfg.batch_size, cfg.frames) + want,
+                      dtype=np.result_type(*(records[i].frames for i in picks)))
+    for slot, i in zip(frames, picks):
         r = records[i]
-        frames = r.frames
+        if len(r.frames) < cfg.frames or r.frames.shape[1:] != want:
+            raise ShapeError(f"clip {r.clip_id} has shape {r.frames.shape}, config needs "
+                             f"at least {cfg.frames} frames of {want}")
+        sampled = r.frames[frame_indices(len(r.frames), cfg.frames, cfg.sample_mode, sample_rng)]
         if cfg.augment:
-            frames = augment_frames(frames, augment_rng)
-        batch.append(sample_frames(frames, cfg.frames, cfg.sample_mode,
-                                   rng=sample_rng, label=r.label, clip_id=r.clip_id))
-    return batch
+            augment_frames(sampled, augment_rng, out=slot)
+        else:
+            slot[...] = sampled
+    return frames, np.array([records[i].label for i in picks])
 
 
 def train_model(cfg: RunConfig, train_records) -> TrainResult:

@@ -34,6 +34,9 @@ def _split_scores(scores):
     bona = [float(s) for s, label in scores if label == 1]
     if not attacks or not bona:
         raise ValueError("scores must contain both classes (attack and bona fide)")
+    bad = int(np.count_nonzero(~np.isfinite(attacks + bona)))
+    if bad:
+        raise ValueError(f"{bad} of {len(attacks) + len(bona)} scores are not finite")
     return attacks, bona
 
 

@@ -8,8 +8,9 @@ over frames and space, and mapped linearly to two logits (attack / bona fide).
 No class token and no positional encoding; the convolutions carry all spatial
 structure, so logits are invariant to frame order. A batch of B clips
 [B, T, 3, H, W] runs as one graph whose activations stay channels-last,
-[B, T, H, W, C], from the embed to the pool; each head attends clip by clip in
-one batched matmul; one clip is B=1.
+[B, T, H, W, C], from the embed to the pool, and gives [B, 2] logits; each
+head attends clip by clip in one batched matmul; one clip [T, 3, H, W] is
+B = 1. A training batch is (frames [B, T, 3, H, W], int labels [B]).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 from . import tensor as tt
 from . import vpt
 from .attention import conv_project, multiscale_attention
-from .embed import VideoClip, conv_ffn, conv_token_embed
+from .embed import conv_ffn, conv_token_embed
 from .rng import stream
 from .tensor import AdamState, ShapeError, Tensor, adam_step
 
@@ -121,16 +122,14 @@ def param_count(params: dict) -> int:
     return sum(p.size for p in params.values())
 
 
-def forward(clip, params: dict, cfg: ModelConfig, records: list | None = None) -> Tensor:
-    """Logits [2] for one clip (a VideoClip or [T, 3, H, W]), or
-    [B, 2] for a batch [B, T, 3, H, W]; appends per-head, per-clip
-    attention weights to ``records`` when a list is supplied."""
-    frames = np.asarray(clip.frames if isinstance(clip, VideoClip) else clip,
-                        dtype=params["embed.weight"].dtype)
+def forward(frames, params: dict, cfg: ModelConfig, records: list | None = None) -> Tensor:
+    """Logits [B, 2] for a batch [B, T, 3, H, W], or [1, 2] for one clip
+    [T, 3, H, W]; appends per-head, per-clip attention weights to
+    ``records`` when a list is supplied."""
+    frames = np.asarray(frames, dtype=params["embed.weight"].dtype)
     want = (cfg.frames, 3, cfg.height, cfg.width)
     if frames.ndim not in (4, 5) or frames.shape[-4:] != want:
         raise ShapeError(f"clip shape {frames.shape} does not match config {want}")
-    single = frames.ndim == 4
     x = conv_token_embed(frames.reshape((-1,) + want), params["embed.weight"],
                          params["embed.bias"], cfg.embed_stride)
     for i in range(cfg.depth):
@@ -145,8 +144,7 @@ def forward(clip, params: dict, cfg: ModelConfig, records: list | None = None) -
                      params[f"layers.{i}.ffn2.weight"], params[f"layers.{i}.ffn2.bias"])
         x = tt.add(f, y)
     pooled = tt.mean(x, (1, 2, 3))                   # [B, C]
-    logits = tt.add(tt.matmul(pooled, params["head.weight"]), params["head.bias"])
-    return tt.reshape(logits, (NUM_CLASSES,)) if single else logits
+    return tt.add(tt.matmul(pooled, params["head.weight"]), params["head.bias"])
 
 
 def cross_entropy(logits: Tensor, labels) -> Tensor:
@@ -186,14 +184,14 @@ def zero_grads(params: dict):
 
 def train_step(batch, params: dict, opt_state: AdamState, cfg: ModelConfig,
                lr: float) -> float:
-    """One optimization step on a batch of clips, run as one graph over
-    [B, T, 3, H, W]; returns the mean loss. A non-finite loss or gradient
-    raises ``FloatingPointError`` and leaves the params unchanged."""
-    if not batch:
+    """One optimization step on ``batch`` = (frames [B, T, 3, H, W], int
+    labels [B]), run as one graph; returns the mean loss. A non-finite loss or
+    gradient raises ``FloatingPointError`` and leaves the params unchanged."""
+    frames, labels = batch
+    if not len(labels):
         raise ValueError("train_step: empty batch")
-    frames = np.stack([c.frames for c in batch])
     with tt.Tape():
-        total = cross_entropy(forward(frames, params, cfg), [c.label for c in batch])
+        total = cross_entropy(forward(frames, params, cfg), labels)
         tt.backward(total)
     loss_value = float(total.data)
     finite_grads = all(np.isfinite(p.grad).all() for p in params.values()
@@ -209,47 +207,58 @@ def train_step(batch, params: dict, opt_state: AdamState, cfg: ModelConfig,
 
 def predict_score(clip, params: dict, cfg: ModelConfig,
                   records: list | None = None) -> float:
-    """Probability the clip is bona fide (softmax mass of class 1)."""
-    z = forward(clip, params, cfg, records=records).data.astype(np.float64)
+    """Probability the ``VideoClip`` is bona fide (softmax mass of class 1)."""
+    z = forward(clip.frames, params, cfg, records=records).data[0].astype(np.float64)
     e = np.exp(z - z.max())
     return float(e[1] / e.sum())
+
+
+@dataclass
+class VideoClip:
+    """T frames [T, 3, H, W] in [0, 1], the binary label (1 = bona fide) and
+    the clip's id; ``forward`` checks the frames' shape."""
+
+    frames: np.ndarray
+    label: int
+    clip_id: str = ""
+
+
+def frame_indices(s: int, t: int, mode: str, rng: np.random.Generator | None) -> np.ndarray:
+    """T indices into a source video of S frames.
+
+    ``uniform`` takes evenly spaced indices floor(i*S/T) starting at frame 0;
+    ``random-interval`` draws a stride then a phase from ``rng``.
+    """
+    if s < t:
+        raise ValueError(f"source has {s} frames, need {t}")
+    if mode == "uniform":
+        return (np.arange(t) * s) // t
+    if mode != "random-interval":
+        raise ValueError(f"unknown sampling mode: {mode!r}")
+    stride = int(rng.integers(1, s // t + 1)) if t > 1 else int(rng.integers(1, s + 1))
+    phase = int(rng.integers(0, s - (t - 1) * stride))
+    return phase + stride * np.arange(t)
 
 
 def sample_frames(frames: np.ndarray, t: int, mode: str = "uniform",
                   rng: np.random.Generator | None = None, label: int = 0,
                   clip_id: str = "") -> VideoClip:
-    """Pick T frames from a longer source video.
-
-    ``uniform`` takes evenly spaced indices floor(i*S/T) starting at frame 0;
-    ``random-interval`` draws a stride then a phase from ``rng``.
-    """
-    s = frames.shape[0]
-    if s < t:
-        raise ValueError(f"source has {s} frames, need {t}")
-    if mode == "uniform":
-        idx = (np.arange(t) * s) // t
-    elif mode == "random-interval":
-        if rng is None:
-            raise ValueError("random-interval sampling needs an rng")
-        stride = int(rng.integers(1, s // t + 1)) if t > 1 else int(rng.integers(1, s + 1))
-        span = (t - 1) * stride
-        phase = int(rng.integers(0, s - span))
-        idx = phase + stride * np.arange(t)
-    else:
-        raise ValueError(f"unknown sampling mode: {mode!r}")
-    return VideoClip(frames=np.ascontiguousarray(frames[idx]), label=label,
-                     clip_id=clip_id)
+    """The clip of T frames that ``frame_indices`` picks from a longer source."""
+    return VideoClip(frames=frames[frame_indices(frames.shape[0], t, mode, rng)],
+                     label=label, clip_id=clip_id)
 
 
-def augment_frames(frames: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Label-preserving augmentation: horizontal flip (p=0.5) plus a mild
-    per-clip gain and per-channel shift, clipped back to [0, 1]."""
-    out = frames
+def augment_frames(frames: np.ndarray, rng: np.random.Generator, out: np.ndarray):
+    """Label-preserving augmentation of ``frames`` written into ``out``:
+    horizontal flip (p=0.5) plus a mild per-clip gain and per-channel shift,
+    clipped back to [0, 1]. The draws do not depend on the pixels."""
     if rng.random() < 0.5:
-        out = out[:, :, :, ::-1]
+        frames = frames[:, :, :, ::-1]
     gain = 1.0 + 0.2 * (rng.random() - 0.5)
     shift = (0.1 * (rng.random(3) - 0.5)).astype(frames.dtype)[None, :, None, None]
-    return np.clip(out * gain + shift, 0.0, 1.0).astype(frames.dtype)
+    np.multiply(frames, gain, out=out)
+    out += shift
+    np.clip(out, 0.0, 1.0, out=out)
 
 
 # ---------------------------------------------------------------------------

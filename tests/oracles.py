@@ -2,7 +2,8 @@
 
 The loop-based oracles share no code path with the engine they check; the
 loop-built synthetic clip shares only the generator's random streams and
-constants, which are its inputs. The unfused feed-forward block is the loop
+constants, which are its inputs, and the list-based training batch only the
+batch, sampling and augmentation streams. The unfused feed-forward block is the loop
 1x1 convolution around the exact GELU from float64 ``math.erf``, which
 ``padformer.embed.conv_ffn`` replaced with one primitive. The unfused
 multi-scale attention at the end is the composition of taped
@@ -137,6 +138,35 @@ def select_threshold_sweep(dev_scores):
         if best_gap is None or gap < best_gap:
             best, best_gap = th, gap
     return float(best)
+
+
+def make_batch_listwise(records, cfg, batch_rng, sample_rng, augment_rng):
+    """The list-based training batch that ``padformer.harness.make_batch``
+    replaced: augment each picked source clip whole (all S frames), sample T
+    frames from it, collect the clips in a list, then ``np.stack`` them.
+    Returns (frames [B, T, 3, H, W], int labels [B])."""
+    picks = batch_rng.integers(0, len(records), size=cfg.batch_size)
+    clips, labels = [], []
+    for i in picks:
+        frames = records[i].frames
+        if cfg.augment:
+            dtype = frames.dtype
+            if augment_rng.random() < 0.5:
+                frames = frames[:, :, :, ::-1]
+            gain = 1.0 + 0.2 * (augment_rng.random() - 0.5)
+            shift = (0.1 * (augment_rng.random(3) - 0.5)).astype(dtype)[None, :, None, None]
+            frames = np.clip(frames * gain + shift, 0.0, 1.0).astype(dtype)
+        s, t = frames.shape[0], cfg.frames
+        if cfg.sample_mode == "uniform":
+            idx = (np.arange(t) * s) // t
+        else:
+            stride = (int(sample_rng.integers(1, s // t + 1)) if t > 1
+                      else int(sample_rng.integers(1, s + 1)))
+            phase = int(sample_rng.integers(0, s - (t - 1) * stride))
+            idx = phase + stride * np.arange(t)
+        clips.append(np.ascontiguousarray(frames[idx]))
+        labels.append(records[i].label)
+    return np.stack(clips), np.array(labels)
 
 
 def make_clip_loops(spec, split, idx, label):

@@ -19,7 +19,7 @@ from padformer.attention import (multiscale_attention, partition_patches,
                                  unpartition_patches)
 from padformer.config import RunConfig, load_config
 from padformer.costs import count_cost
-from padformer.embed import VideoClip, conv_ffn, conv_token_embed
+from padformer.embed import conv_ffn, conv_token_embed
 from padformer.harness import evaluate, format_log, train_model
 from padformer.metrics import compute_metrics
 from padformer.model import (ModelConfig, cross_entropy, forward, init_params,
@@ -275,17 +275,15 @@ def test_criterion_8_invariance_suite(capsys):
     # (a) recorded attention rows are stochastic, checked in f64
     params64 = init_params(CHECK_CONFIG, dtype=np.float64)
     rng = np.random.default_rng(8)
-    clip = VideoClip(frames=rng.random((2, 3, 16, 16)), label=0)
     recs = []
-    forward(clip, params64, CHECK_CONFIG, records=recs)
+    forward(rng.random((2, 3, 16, 16)), params64, CHECK_CONFIG, records=recs)
     row_err = max(float(np.abs(r.alpha.sum(axis=1) - 1.0).max()) for r in recs)
 
     # (b) frame permutation leaves the logits unchanged (f32 model)
     params32 = init_params(CHECK_CONFIG)
     frames = rng.random((2, 3, 16, 16)).astype(np.float32)
-    base = forward(VideoClip(frames, 0), params32, CHECK_CONFIG).data
-    flip = forward(VideoClip(frames[::-1].copy(), 0), params32,
-                   CHECK_CONFIG).data
+    base = forward(frames, params32, CHECK_CONFIG).data
+    flip = forward(frames[::-1].copy(), params32, CHECK_CONFIG).data
     perm_err = float(np.abs(base - flip).max())
 
     # (c) partition / reassemble round-trip is bitwise

@@ -35,8 +35,15 @@ def test_higher_is_better_metric_wins_when_higher():
     assert m["worse_by_share"] < 0
 
 
-def verdict(parent, change, spec=HIGHER):
+def verdict(parent, change, spec=HIGHER, failed=(0, 0), attempted=(100, 100),
+            correct=(True, True)):
+    """The claim verdict on one metric; ``failed``, ``attempted`` and
+    ``correct`` are (parent, change) totals over the runs."""
+    sides = ("parent", "change")
     record = {"w": {"pairs": len(parent),
+                    "failed": dict(zip(sides, failed)),
+                    "attempted": dict(zip(sides, attempted)),
+                    "correct": dict(zip(sides, correct)),
                     "metrics": {"m": bench_pairs.compare(spec, parent, change)}}}
     return bench_pairs.claim_verdict(record, "w", "m")
 
@@ -59,3 +66,18 @@ def test_claim_is_met_only_by_ten_pairs_nine_wins_and_a_gap_above_the_iqr(
     v = verdict(parent, change, spec)
     assert v["met"] is met
     assert v["pairs"] == len(parent)
+
+
+GAIN = [v + 10 for v in TEN]                  # met on the metric alone
+
+
+@pytest.mark.parametrize("failed,attempted,correct,met", [
+    ((0, 0), (100, 100), (True, True), True),
+    ((0, 0), (100, 100), (True, False), False),   # a change run is not correct
+    ((0, 1), (100, 100), (True, True), False),    # a larger failed share
+    ((2, 1), (100, 100), (True, True), True),     # a smaller failed share
+    ((1, 2), (100, 200), (True, True), True),     # the same share
+], ids=["sound", "incorrect-run", "more-failures", "fewer-failures", "same-share"])
+def test_claim_is_not_met_when_the_change_fails_more(failed, attempted, correct, met):
+    v = verdict(TEN, GAIN, failed=failed, attempted=attempted, correct=correct)
+    assert v["met"] is met

@@ -4,6 +4,8 @@ All commands run in-process through ``main(argv)`` so exit codes, stdout, and
 the single-line ``error:`` stderr contract are asserted directly.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -402,6 +404,39 @@ def test_eval_needs_both_classes_in_dev(pipeline, tmp_path, capsys):
     write_store(store, records)
     expect_error(["eval", "--checkpoint", str(pipeline["checkpoint"]),
                   "--data", str(store)], "both classes", capsys)
+
+
+def test_eval_rejects_non_finite_scores(pipeline, tmp_path, capsys):
+    ckpt = tmp_path / "checkpoint"
+    echo = (pipeline["checkpoint"] / "config.cfg").read_text(encoding="utf-8")
+    params = load_checkpoint(pipeline["checkpoint"], parse_config(echo).model_config())
+    params["head.bias"].data[:] = np.nan
+    save_checkpoint(ckpt, params, echo)
+    expect_error(["eval", "--checkpoint", str(ckpt), "--out", str(tmp_path / "report.csv")],
+                 "4 of 4 scores are not finite", capsys)
+    assert not (tmp_path / "report.csv").exists()
+
+
+@pytest.mark.parametrize("store_keys,shape", [
+    ({"height=16": "height=32", "width=16": "width=32"}, (4, 3, 32, 32)),
+    ({"frames=2": "frames=1", "source_frames=4": "source_frames=1"}, (1, 3, 16, 16)),
+], ids=["larger-frames", "fewer-source-frames"])
+def test_train_names_a_store_clip_that_does_not_fit_the_config(
+        pipeline, tmp_path, capsys, store_keys, shape):
+    text = MICRO
+    for key, value in store_keys.items():
+        text = text.replace(f"\n{key}\n", f"\n{value}\n")
+    (tmp_path / "store.cfg").write_text(text, encoding="utf-8")
+    data, out = tmp_path / "data", tmp_path / "run"
+    assert main(["gen-data", "--config", str(tmp_path / "store.cfg"), "--out", str(data)]) == 0
+    capsys.readouterr()
+    assert main(["train", "--config", str(pipeline["cfg"]), "--data", str(data),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(rf"error: clip train_(bona|attack)_\d{{4}} has shape "
+                        rf"{re.escape(str(shape))}, config needs at least 2 frames "
+                        rf"of \(3, 16, 16\)\n", err), err
+    assert not out.exists()
 
 
 def test_missing_checkpoint_config(tmp_path, capsys):

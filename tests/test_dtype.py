@@ -60,7 +60,8 @@ def test_scoring_gets_logits_of_the_params_dtype(shape, dtype, monkeypatch):
         return logits[-1]
 
     monkeypatch.setattr(M, "forward", spy)
-    score = predict_score(frames_for(cfg, 0, np.float32), init_params(cfg, dtype=dtype), cfg)
+    clip = M.VideoClip(frames_for(cfg, 0, np.float32), label=0)
+    score = predict_score(clip, init_params(cfg, dtype=dtype), cfg)
     assert 0.0 <= score <= 1.0
     assert [z.data.dtype for z in logits] == [dtype]
 

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from padformer import tensor as T
 from padformer.attention import conv_project, multiscale_attention
-from padformer.embed import VideoClip, conv_ffn, conv_token_embed, normal_cdf
+from padformer.embed import conv_ffn, conv_token_embed, normal_cdf
 
 from oracles import (concat, conv2d_backward_naive, conv2d_naive, ffn_naive, gelu_exact,
                      normal_cdf_exact, split)
@@ -40,24 +40,24 @@ def channels_last(a, shape):
 
 def test_token_map_shape_full_resolution():
     rng = np.random.default_rng(0)
-    clip = VideoClip(frames=rng.random((8, 3, 224, 224), dtype=np.float32), label=1)
+    frames = rng.random((8, 3, 224, 224), dtype=np.float32)
     w = T.tensor(rng.standard_normal((96, 3, 8, 8)))
-    out = conv_token_embed(clip.frames, w, zeros(96), stride=8)
+    out = conv_token_embed(frames, w, zeros(96), stride=8)
     assert out.shape == (8, 28, 28, 96)
 
 
 def test_token_map_shape_minimal():
     rng = np.random.default_rng(1)
-    clip = VideoClip(frames=rng.random((1, 3, 16, 16), dtype=np.float32), label=0)
+    frames = rng.random((1, 3, 16, 16), dtype=np.float32)
     w = T.tensor(rng.standard_normal((6, 3, 8, 8)))
-    out = conv_token_embed(clip.frames, w, zeros(6), stride=8)
+    out = conv_token_embed(frames, w, zeros(6), stride=8)
     assert out.shape == (1, 2, 2, 6)
 
 
 def test_zero_clip_zero_bias_gives_zero_map():
-    clip = VideoClip(frames=np.zeros((2, 3, 16, 16), dtype=np.float32), label=1)
+    frames = np.zeros((2, 3, 16, 16), dtype=np.float32)
     w = T.tensor(np.random.default_rng(2).standard_normal((4, 3, 8, 8)))
-    out = conv_token_embed(clip.frames, w, zeros(4), stride=8)
+    out = conv_token_embed(frames, w, zeros(4), stride=8)
     assert np.array_equal(out.data, np.zeros((2, 2, 2, 4), dtype=np.float32))
 
 

@@ -60,6 +60,18 @@ def test_single_class_rejected():
         select_threshold([(0.5, 1), (0.2, 1)])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("label", [0, 1], ids=["attack", "bona"])
+def test_non_finite_score_is_rejected(bad, label):
+    # NaN >= th and NaN < th are both False: a NaN attack would count as
+    # rejected and a NaN bona fide clip as accepted
+    scores = scored([0.1, 0.2], [0.8, 0.9]) + [(bad, label)]
+    with pytest.raises(ValueError, match="1 of 5 scores are not finite"):
+        compute_metrics(scores, threshold=0.5)
+    with pytest.raises(ValueError, match="1 of 5 scores are not finite"):
+        select_threshold(scores)
+
+
 def test_recount_oracle_on_1000_random_sets():
     rng = np.random.default_rng(0)
     for _ in range(1000):

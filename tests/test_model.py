@@ -11,9 +11,8 @@ from hypothesis import strategies as st
 
 from padformer import tensor as T
 from padformer.config import ConfigError, RunConfig
-from padformer.embed import VideoClip
 from padformer.harness import train_model
-from padformer.model import (INIT_STD, ModelConfig, augment_frames,
+from padformer.model import (INIT_STD, ModelConfig, VideoClip, augment_frames,
                              cross_entropy, forward, init_params, load_checkpoint,
                              param_count, parameter_shapes, predict_score,
                              sample_frames, save_checkpoint, train_step,
@@ -33,38 +32,42 @@ def rand_clip(cfg, seed=0, label=1, dtype=np.float32):
     return VideoClip(frames=frames, label=label)
 
 
+def as_batch(*clips):
+    """The (frames [B, T, 3, H, W], int labels [B]) pair ``train_step`` takes."""
+    return np.stack([c.frames for c in clips]), np.array([c.label for c in clips])
+
+
 # ----------------------------------------------------------------- forward
 
 def test_logits_shape():
     params = init_params(TINY)
-    out = forward(rand_clip(TINY), params, TINY)
-    assert out.shape == (2,)
+    assert forward(rand_clip(TINY).frames, params, TINY).shape == (1, 2)
+    batch = np.stack([rand_clip(TINY, seed=s).frames for s in range(3)])
+    assert forward(batch, params, TINY).shape == (3, 2)
 
 
 def test_zero_head_gives_zero_logits():
     params = init_params(TINY)
     params["head.weight"].data[:] = 0
     params["head.bias"].data[:] = 0
-    out = forward(rand_clip(TINY, seed=1), params, TINY)
-    assert np.array_equal(out.data, np.zeros(2, dtype=np.float32))
+    out = forward(rand_clip(TINY, seed=1).frames, params, TINY)
+    assert np.array_equal(out.data, np.zeros((1, 2), dtype=np.float32))
 
 
 def test_clip_shape_must_match_config():
     params = init_params(TINY)
-    bad = VideoClip(frames=np.zeros((2, 3, 32, 32), dtype=np.float32), label=0)
     with pytest.raises(ShapeError):
-        forward(bad, params, TINY)
+        forward(np.zeros((2, 3, 32, 32), dtype=np.float32), params, TINY)
 
 
 def test_frame_permutation_leaves_logits_unchanged():
     cfg = ModelConfig(frames=4, height=16, width=16, embed_stride=8,
                       embed_channels=6, scales=(1, 2), depth=2, seed=5)
     params = init_params(cfg, dtype=np.float64)
-    clip = rand_clip(cfg, seed=2, dtype=np.float64)
-    base = forward(clip, params, cfg).data
+    frames = rand_clip(cfg, seed=2, dtype=np.float64).frames
+    base = forward(frames, params, cfg).data
     perm = np.random.default_rng(3).permutation(cfg.frames)
-    shuffled = VideoClip(frames=clip.frames[perm], label=clip.label)
-    assert np.allclose(forward(shuffled, params, cfg).data, base, atol=1e-6)
+    assert np.allclose(forward(frames[perm], params, cfg).data, base, atol=1e-6)
 
 
 def test_key_bias_cannot_move_the_logits_but_value_bias_does():
@@ -117,11 +120,11 @@ def test_batched_pass_equals_single_clip_passes(seed, b, t, scales):
     single = []
     for clip in clips:
         with T.Tape():
-            z = forward(clip, params, cfg)
+            z = forward(clip.frames, params, cfg)
             T.backward(cross_entropy(z, clip.label))
         single.append(z.data)
     assert logits.shape == (b, 2)
-    assert np.abs(logits.data - np.stack(single)).max() <= 1e-9
+    assert np.abs(logits.data - np.concatenate(single)).max() <= 1e-9
     for name, p in params.items():
         assert np.abs(batched[name] - p.grad / b).max() <= 1e-9, name
 
@@ -148,7 +151,7 @@ def test_batched_records_one_attention_matrix_per_clip():
     assert [(r.layer, r.head, r.clip) for r in recs] == [(0, 0, 0), (0, 0, 1),
                                                          (0, 1, 0), (0, 1, 1)]
     one = []
-    forward(clips[1], params, TINY, records=one)
+    forward(clips[1].frames, params, TINY, records=one)
     assert [r.clip for r in one] == [0, 0]
     assert np.abs(recs[3].alpha - one[1].alpha).max() <= 1e-12
 
@@ -269,12 +272,12 @@ def test_full_model_gradient_check():
     clip = rand_clip(TINY, seed=6, label=1, dtype=np.float64)
 
     with T.Tape():
-        T.backward(cross_entropy(forward(clip, params, TINY), clip.label))
+        T.backward(cross_entropy(forward(clip.frames, params, TINY), clip.label))
     analytic = {name: p.grad.copy() for name, p in params.items()}
     zero_grads(params)
 
     def fwd():
-        return float(cross_entropy(forward(clip, params, TINY), clip.label).data)
+        return float(cross_entropy(forward(clip.frames, params, TINY), clip.label).data)
 
     for name, p in params.items():
         num = numeric_grad(fwd, p.data)
@@ -287,7 +290,7 @@ def test_zero_lr_leaves_params_bitwise_unchanged():
     params = init_params(TINY)
     before = {n: p.data.copy() for n, p in params.items()}
     state = AdamState(params)
-    train_step([rand_clip(TINY, seed=7, label=1)], params, state, TINY, lr=0.0)
+    train_step(as_batch(rand_clip(TINY, seed=7, label=1)), params, state, TINY, lr=0.0)
     for n, p in params.items():
         assert np.array_equal(p.data, before[n])
 
@@ -297,7 +300,7 @@ def test_non_finite_gradient_stops_the_step(nan_ffn_backward):
     before = {n: p.data.copy() for n, p in params.items()}
     state = AdamState(params)
     with pytest.raises(FloatingPointError, match="non-finite gradient at step 0"):
-        train_step([rand_clip(TINY, seed=7)], params, state, TINY, lr=1e-3)
+        train_step(as_batch(rand_clip(TINY, seed=7)), params, state, TINY, lr=1e-3)
     assert state.step == 0
     for n, p in params.items():
         assert np.array_equal(p.data, before[n]) and p.grad is None
@@ -310,21 +313,22 @@ def test_non_finite_loss_stops_the_step():
     state = AdamState(params)
     with np.errstate(invalid="ignore"), pytest.raises(
             FloatingPointError, match="non-finite loss at step 0"):
-        train_step([rand_clip(TINY, seed=7)], params, state, TINY, lr=1e-3)
+        train_step(as_batch(rand_clip(TINY, seed=7)), params, state, TINY, lr=1e-3)
     for n, p in params.items():
         assert np.array_equal(p.data, before[n]) and p.grad is None
 
 
 def test_empty_batch_rejected():
     params = init_params(TINY)
-    with pytest.raises(ValueError):
-        train_step([], params, AdamState(params), TINY, lr=1e-3)
+    with pytest.raises(ValueError, match="empty batch"):
+        train_step((np.zeros((0, 2, 3, 16, 16), np.float32), np.zeros(0, int)),
+                   params, AdamState(params), TINY, lr=1e-3)
 
 
 def test_loss_decreases_over_first_twenty_steps():
     params = init_params(TINY)
     state = AdamState(params)
-    batch = [rand_clip(TINY, seed=8, label=1), rand_clip(TINY, seed=9, label=0)]
+    batch = as_batch(rand_clip(TINY, seed=8, label=1), rand_clip(TINY, seed=9, label=0))
     losses = [train_step(batch, params, state, TINY, lr=1e-3) for _ in range(20)]
     assert all(b < a for a, b in zip(losses, losses[1:]))
 
@@ -332,7 +336,7 @@ def test_loss_decreases_over_first_twenty_steps():
 def test_overfit_single_clip():
     params = init_params(TINY)
     state = AdamState(params)
-    batch = [rand_clip(TINY, seed=10, label=1)]
+    batch = as_batch(rand_clip(TINY, seed=10, label=1))
     loss = None
     for _ in range(200):
         loss = train_step(batch, params, state, TINY, lr=1e-3)
@@ -353,7 +357,7 @@ def test_fixed_seed_runs_are_bitwise_identical():
     def run():
         params = init_params(TINY)
         state = AdamState(params)
-        batch = [rand_clip(TINY, seed=11, label=1), rand_clip(TINY, seed=12, label=0)]
+        batch = as_batch(rand_clip(TINY, seed=11, label=1), rand_clip(TINY, seed=12, label=0))
         return [train_step(batch, params, state, TINY, lr=1e-3) for _ in range(10)]
     assert run() == run()
 
@@ -377,7 +381,7 @@ def test_biased_head_saturates_score():
 def test_class_probabilities_sum_to_one():
     params = init_params(TINY)
     clip = rand_clip(TINY, seed=15)
-    z = forward(clip, params, TINY).data.astype(np.float64)
+    z = forward(clip.frames, params, TINY).data[0].astype(np.float64)
     e = np.exp(z - z.max())
     p_attack, p_bona = e / e.sum()
     assert abs(predict_score(clip, params, TINY) - p_bona) < 1e-12
@@ -420,10 +424,10 @@ def test_sampling_rejects_short_source():
 def test_augmentation_is_seeded_and_bounded():
     rng = np.random.default_rng(16)
     frames = rng.random((4, 3, 8, 8)).astype(np.float32)
-    a = augment_frames(frames, np.random.default_rng(17))
-    b = augment_frames(frames, np.random.default_rng(17))
+    a, b = np.empty_like(frames), np.empty_like(frames)
+    augment_frames(frames, np.random.default_rng(17), out=a)
+    augment_frames(frames, np.random.default_rng(17), out=b)
     assert np.array_equal(a, b)
-    assert a.shape == frames.shape
     assert a.min() >= 0.0 and a.max() <= 1.0
 
 
@@ -431,7 +435,8 @@ def test_augmentation_flip_branch():
     frames = np.zeros((1, 3, 2, 4), dtype=np.float32)
     frames[..., 0] = 1.0
     for seed in range(20):
-        out = augment_frames(frames, np.random.default_rng(seed))
+        out = np.empty_like(frames)
+        augment_frames(frames, np.random.default_rng(seed), out=out)
         col = out[0, 0, 0]
         assert col[0] > col[-1] or col[-1] > col[0]
 
