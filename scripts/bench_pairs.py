@@ -17,7 +17,7 @@ Usage, from the root of the checkout:
 
 The parent copy comes from ``git archive`` into a temporary directory, which
 is removed when the script ends; the repository's own checkout and git state
-are not touched. The script refuses to run when ``perfbench/`` or
+are not touched. The last line on stderr is the claim verdict. The script refuses to run when ``perfbench/`` or
 ``BENCHMARK.json`` in the working tree (untracked files included) differ
 from the parent commit, so both sides always run the same benchmark.
 """
@@ -157,6 +157,18 @@ def claim_verdict(record: dict, workload: str, metric: str) -> dict:
                         and m["change_wins_pairs"] >= 0.9 * pairs and gap > m["parent_iqr"])}
 
 
+def verdict_line(verdict: dict | None) -> str:
+    """The claim verdict as one line: met or not, pair wins, median gap and
+    the parent's interquartile range."""
+    if verdict is None:
+        return "claim: none"
+    v = verdict
+    return (f"claim {v['workload']}:{v['metric']} {'met' if v['met'] else 'NOT met'}: "
+            f"change won {v['change_wins_pairs']}/{v['pairs']} pairs, median gap "
+            f"{v['median_gap']:g} vs parent IQR {v['parent_iqr']:g}"
+            + ("" if v["change_correct"] else ", a change run was not correct"))
+
+
 def parse_args(argv=None):
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -240,6 +252,7 @@ def main(argv=None) -> int:
     }
     Path(args.out).write_text(json.dumps(out, indent=1) + "\n", encoding="utf-8")
     log(f"wrote {args.out}")
+    log(verdict_line(out["claim"]))
     return 0
 
 

@@ -58,13 +58,14 @@ def partition_patches(f: np.ndarray, scale: int) -> np.ndarray:
     """Split each frame of a [T, H, W, C] (or [B, T, H, W, C]) array into an
     l x l grid of tokens flattened in (ph, pw, C) order: [T * l * l,
     H/l * W/l * C] (or [B, ...]), in the order of ``AttentionRecord.frame_of``
-    and ``cell_of``."""
+    and ``cell_of``. ``f`` may be a channel slice; its C channels at each
+    position move as one run."""
     *lead, t, h, w, c = f.shape
     if h % scale or w % scale:
         raise ShapeError(f"scale {scale} does not divide map extent {h}x{w}")
     ph, pw = h // scale, w // scale
     g = f.reshape(-1, scale, ph, scale, pw, c).transpose(0, 1, 3, 2, 4, 5)
-    return g.reshape(tuple(lead) + (t * scale * scale, ph * pw * c))
+    return tt.reshape_runs(g, tuple(lead) + (t * scale * scale, ph * pw * c))
 
 
 def unpartition_patches(tokens: np.ndarray, shape: tuple, scale: int) -> np.ndarray:
@@ -74,8 +75,8 @@ def unpartition_patches(tokens: np.ndarray, shape: tuple, scale: int) -> np.ndar
     ph, pw = h // scale, w // scale
     if tokens.shape != tuple(lead) + (t * scale * scale, ph * pw * c):
         raise ShapeError(f"tokens {tokens.shape} do not tile a {shape} map at scale {scale}")
-    g = tokens.reshape(-1, scale, scale, ph, pw, c).transpose(0, 1, 3, 2, 4, 5)
-    return g.reshape(shape)
+    g = tokens.reshape(-1, scale, scale, ph, pw * c).transpose(0, 1, 3, 2, 4)
+    return tt.reshape_runs(g, (-1, w * c)).reshape(shape)
 
 
 def conv_project(x: Tensor, w: Tensor, b: Tensor) -> Tensor:

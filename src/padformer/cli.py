@@ -21,7 +21,7 @@ from .ablation import (ablation_clip_length, ablation_scales,
 from .attention import attention_rollout, upsample_nearest
 from .config import RunConfig, dump_config, load_config, parse_config
 from .costs import count_cost
-from .harness import evaluate, format_log, train_model
+from .harness import check_clip, evaluate, format_log, train_model
 from .metrics import write_report_csv
 from .model import forward, load_checkpoint, sample_frames, save_checkpoint
 from .selftest import run_selftest
@@ -124,6 +124,7 @@ def cmd_export_attention(args) -> int:
         record = matches[0]
     else:
         record = split_records(records, "test")[0]
+    check_clip(record, mcfg)
 
     recs = []
     forward(sample_frames(record.frames, mcfg.frames).frames, params, mcfg, records=recs)

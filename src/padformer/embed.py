@@ -24,11 +24,12 @@ def conv_token_embed(frames: np.ndarray, w: Tensor, b: Tensor, stride: int) -> T
     """Tokenize each frame with one non-overlapping convolution (kernel extent
     equal to the stride); [..., T, 3, H, W] pixels -> [..., T, H/s, W/s, C].
     The constant frames are cut in numpy into (3, s, s) patches, the kernel's
-    order, and multiplied by the flattened kernel."""
+    order, one kernel row of s pixels per copied run, and multiplied by the
+    flattened kernel."""
     lead, (cin, h, wid) = frames.shape[:-3], frames.shape[-3:]
     s = stride
     patches = frames.reshape(-1, cin, h // s, s, wid // s, s).transpose(0, 2, 4, 1, 3, 5)
-    cols = Tensor(patches.reshape(-1, cin * s * s))          # [N * H/s * W/s, 3*s*s]
+    cols = Tensor(tt.reshape_runs(patches, (-1, cin * s * s)))   # [N * H/s * W/s, 3*s*s]
     wmat = tt.transpose(tt.reshape(w, (w.shape[0], cin * s * s)), (1, 0))
     tokens = tt.add(tt.matmul(cols, wmat), b)
     return tt.reshape(tokens, lead + (h // s, wid // s, w.shape[0]))
@@ -56,11 +57,12 @@ def _poly(coeffs, u: np.ndarray) -> np.ndarray:
 def normal_cdf(x: np.ndarray) -> np.ndarray:
     """Phi(x) ~ 0.5 * (1 + tanh(x * P(x**2))) in numpy, within 2**-23 of
     float64 ``math.erf``'s Phi on every float32 tested ([-12, 12], +-1e30,
-    +-inf; NaN stays NaN). x is clipped to [-20, 20], where tanh is already
-    +-1 in float32 and float64, so the Horner terms cannot overflow."""
-    x = np.clip(x, -20.0, 20.0)
-    t = _poly(_CDF_COEFFS, x * x)
-    t *= x
+    +-inf; NaN stays NaN). Past |x| = 20, x * P(x**2) lies beyond +-1e8
+    or overflows to +-inf, and tanh of either is +-1 in float32 and float64,
+    so the Horner terms may overflow, with numpy's overflow warning off."""
+    with np.errstate(over="ignore"):
+        t = _poly(_CDF_COEFFS, x * x)
+        t *= x
     np.tanh(t, out=t)
     t += 1.0
     t *= 0.5
@@ -76,11 +78,13 @@ def conv_ffn(y: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tenso
     y2 = y.data.reshape(-1, c)
     w1m, w2m = w1.data.reshape(w1.shape[0], c), w2.data.reshape(w2.shape[0], -1)
     h = y2 @ w1m.T
-    h += b1.data
+    rows, bias = tt.channel_rows(h, b1.data)
+    rows += bias
     cdf = normal_cdf(h)
     a = h * cdf
     out = a @ w2m.T
-    out += b2.data
+    rows, bias = tt.channel_rows(out, b2.data)
+    rows += bias
 
     def back(g):
         g2 = g.reshape(out.shape)

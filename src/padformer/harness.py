@@ -36,18 +36,26 @@ def lr_at(step: int, base_lr: float, total_steps: int, warmup_frac: float) -> fl
     return base_lr * (step + 1) / warm
 
 
+def check_clip(record, cfg):
+    """Raise ``ShapeError`` naming the store clip when its frames cannot give
+    ``cfg`` (a ``RunConfig`` or ``ModelConfig``) a clip: fewer than
+    ``cfg.frames`` frames, or frames not [3, height, width]."""
+    want = (3, cfg.height, cfg.width)
+    if len(record.frames) < cfg.frames or record.frames.shape[1:] != want:
+        raise ShapeError(f"clip {record.clip_id} has shape {record.frames.shape}, config "
+                         f"needs at least {cfg.frames} frames of {want}")
+
+
 def make_batch(records, cfg: RunConfig, batch_rng, sample_rng, augment_rng):
     """(frames [B, T, 3, H, W] in the clips' dtype, int labels [B]): each pick
-    gathers its T sampled frames, then writes them (augmented) into its slot."""
+    reads its T sampled frames (a view when the picks are evenly strided),
+    then writes them (augmented) into its slot."""
     picks = batch_rng.integers(0, len(records), size=cfg.batch_size)
-    want = (3, cfg.height, cfg.width)
-    frames = np.empty((cfg.batch_size, cfg.frames) + want,
+    frames = np.empty((cfg.batch_size, cfg.frames, 3, cfg.height, cfg.width),
                       dtype=np.result_type(*(records[i].frames for i in picks)))
     for slot, i in zip(frames, picks):
         r = records[i]
-        if len(r.frames) < cfg.frames or r.frames.shape[1:] != want:
-            raise ShapeError(f"clip {r.clip_id} has shape {r.frames.shape}, config needs "
-                             f"at least {cfg.frames} frames of {want}")
+        check_clip(r, cfg)
         sampled = r.frames[frame_indices(len(r.frames), cfg.frames, cfg.sample_mode, sample_rng)]
         if cfg.augment:
             augment_frames(sampled, augment_rng, out=slot)
@@ -77,6 +85,7 @@ def score_split(params, mcfg: ModelConfig, records, cfg: RunConfig):
     """(score, label) per clip; evaluation always samples frames uniformly."""
     out = []
     for r in records:
+        check_clip(r, mcfg)
         clip = sample_frames(r.frames, mcfg.frames, "uniform",
                              label=r.label, clip_id=r.clip_id)
         out.append((predict_score(clip, params, mcfg), r.label))

@@ -223,27 +223,33 @@ class VideoClip:
     clip_id: str = ""
 
 
-def frame_indices(s: int, t: int, mode: str, rng: np.random.Generator | None) -> np.ndarray:
-    """T indices into a source video of S frames.
+def frame_indices(s: int, t: int, mode: str,
+                  rng: np.random.Generator | None) -> slice | np.ndarray:
+    """The T picks from a source video of S frames, as a slice when they are
+    evenly strided (so indexing with them gives a view, not a copy) and as an
+    index array otherwise.
 
-    ``uniform`` takes evenly spaced indices floor(i*S/T) starting at frame 0;
-    ``random-interval`` draws a stride then a phase from ``rng``.
+    ``uniform`` takes the evenly spaced frames floor(i*S/T) from frame 0: a
+    slice with stride S/T when T divides S, an index array when it does not;
+    ``random-interval`` draws a stride then a phase from ``rng`` and is always
+    a slice.
     """
     if s < t:
         raise ValueError(f"source has {s} frames, need {t}")
     if mode == "uniform":
-        return (np.arange(t) * s) // t
+        return slice(0, s, s // t) if s % t == 0 else (np.arange(t) * s) // t
     if mode != "random-interval":
         raise ValueError(f"unknown sampling mode: {mode!r}")
     stride = int(rng.integers(1, s // t + 1)) if t > 1 else int(rng.integers(1, s + 1))
     phase = int(rng.integers(0, s - (t - 1) * stride))
-    return phase + stride * np.arange(t)
+    return slice(phase, phase + (t - 1) * stride + 1, stride)
 
 
 def sample_frames(frames: np.ndarray, t: int, mode: str = "uniform",
                   rng: np.random.Generator | None = None, label: int = 0,
                   clip_id: str = "") -> VideoClip:
-    """The clip of T frames that ``frame_indices`` picks from a longer source."""
+    """The clip of T frames that ``frame_indices`` picks from a longer source;
+    its frames are a view of ``frames`` when the picks are evenly strided."""
     return VideoClip(frames=frames[frame_indices(frames.shape[0], t, mode, rng)],
                      label=label, clip_id=clip_id)
 

@@ -26,6 +26,7 @@ __all__ = [
     "add", "matmul", "conv2d",
     "layer_norm", "reshape", "transpose",
     "mean", "AdamState", "adam_step",
+    "channel_rows", "reshape_runs",
 ]
 
 # glibc malloc settings (mallopt parameter id, value). A training step frees
@@ -64,6 +65,40 @@ class ShapeError(ValueError):
 def _contig(arr: np.ndarray) -> np.ndarray:
     # np.ascontiguousarray would promote 0-d scalars to 1-d
     return arr if arr.flags["C_CONTIGUOUS"] else np.ascontiguousarray(arr)
+
+
+# numpy pays per inner-loop iteration, and a channel axis is 2-48 values long
+_TILE_ROWS = 64
+
+
+def channel_rows(x: np.ndarray, *vectors: np.ndarray):
+    """``x`` [..., C] as rows [N/k, k*C], followed by each [C] vector tiled k
+    times, with k = gcd(N, 64): a channel broadcast over them does the same
+    float operations as over [N, C], in inner loops k times longer. The rows
+    are a view of a contiguous ``x``, so in-place ops reach it."""
+    c = x.shape[-1]
+    n = x.size // c
+    k = math.gcd(n, _TILE_ROWS)
+    # ndarray.repeat, not np.tile, whose Python overhead (~6 us) is most of a small add
+    return (x.reshape(n // k, k * c),) + tuple(v.reshape(1, -1).repeat(k, axis=0).reshape(-1)
+                                               for v in vectors)
+
+
+def reshape_runs(a: np.ndarray, shape: tuple) -> np.ndarray:
+    """``a.reshape(shape)`` for an ``a`` whose last axis stays whole inside
+    the last axis of ``shape``. That axis's runs are reshaped as fixed-size
+    ``np.void`` elements, so where the reshape must copy (a permuted, sliced
+    or windowed view), numpy's copy loop iterates once per run, not once per
+    value; where it can view, it views."""
+    if a.flags.c_contiguous or a.strides[-1] != a.itemsize:
+        return a.reshape(shape)
+    run = a.shape[-1]
+    runs = a.view(np.dtype((np.void, run * a.itemsize)))[..., 0]
+    runs = runs.reshape(tuple(shape[:-1]) + (shape[-1] // run,))
+    # numpy changes the itemsize of a view only along a contiguous last axis
+    if runs.shape[-1] != 1 and runs.size and runs.strides[-1] != runs.itemsize:
+        runs = np.ascontiguousarray(runs)
+    return runs.view(a.dtype)
 
 
 class Tensor:
@@ -223,7 +258,9 @@ def add(a: Tensor, b: Tensor) -> Tensor:
                          f"to {a.data.shape}")
     if lead == 0:
         return record(a.data + b.data, (a, b), lambda g: (g, g))
-    return record(a.data + b.data, (a, b), lambda g: (g, g.sum(axis=tuple(range(lead)))))
+    rows, bias = channel_rows(a.data.reshape(-1, b.data.size), b.data)
+    return record((rows + bias).reshape(a.data.shape), (a, b),
+                  lambda g: (g, g.sum(axis=tuple(range(lead)))))
 
 
 # ---------------------------------------------------------------------------
@@ -262,8 +299,8 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, pad: int = 0) -> Tensor:
 
     The im2col columns are ordered (kh, kw, Cin) and gathered from the input
     (a zero-padded copy when pad > 0), so each kernel row of a window is one
-    contiguous run of kw*Cin values, and the backward scatters each tap as
-    one add over whole channel runs.
+    contiguous run of kw*Cin values, copied whole, and the backward scatters
+    each tap as one add over whole channel runs.
     """
     xd, wd = x.data, w.data
     if xd.ndim < 4 or wd.ndim != 4:
@@ -287,10 +324,16 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, pad: int = 0) -> Tensor:
     if pad:
         xp = np.zeros((n, hp, wp, cin), dtype=xd.dtype)
         xp[:, pad:pad + h, pad:pad + wid] = xd.reshape(n, h, wid, cin)
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw, cin), axis=(1, 2, 3))
-    cols = win[:, :, :, 0].reshape(n * ho * wo, kh * kw * cin)
+    # kernel row i of the window at (y, x) is the run xp[:, y + i, x:x + kw], as a view
+    sn, sh, sw, sc = xp.strides
+    win = np.lib.stride_tricks.as_strided(xp, (n, ho, wo, kh, kw * cin), (sn, sh, sw, sh, sc),
+                                          writeable=False)
+    cols = reshape_runs(win, (n * ho * wo, kh * kw * cin))
     wmat = wd.transpose(0, 2, 3, 1).reshape(cout, -1)
-    out = (cols @ wmat.T + b.data).reshape(lead + (ho, wo, cout))
+    out = cols @ wmat.T
+    rows, bias = channel_rows(out, b.data)
+    rows += bias
+    out = out.reshape(lead + (ho, wo, cout))
 
     def back(g):
         gmat = g.reshape(-1, cout)
@@ -321,16 +364,19 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     d = xd - xd @ avg
     inv = 1.0 / np.sqrt((d * d) @ avg + eps)
     xhat = d * inv
-    out = gamma.data * xhat + beta.data
+    rows, gain, shift = channel_rows(xhat, gamma.data, beta.data)
+    out = rows * gain
+    out += shift
 
     def back(g):
         ggamma = (g * xhat).reshape(-1, c).sum(axis=0)
         gbeta = g.reshape(-1, c).sum(axis=0)
-        gxhat = g * gamma.data
+        grows, gain = channel_rows(g, gamma.data)
+        gxhat = (grows * gain).reshape(g.shape)
         gx = inv * (gxhat - gxhat @ avg - xhat * ((gxhat * xhat) @ avg))
         return gx, ggamma, gbeta
 
-    return record(out, (x, gamma, beta), back)
+    return record(out.reshape(xd.shape), (x, gamma, beta), back)
 
 
 # ---------------------------------------------------------------------------

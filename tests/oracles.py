@@ -9,7 +9,10 @@ batch, sampling and augmentation streams. The unfused feed-forward block is the 
 multi-scale attention at the end is the composition of taped
 primitives that ``padformer.attention.multiscale_attention`` replaced with one
 primitive; it keeps its own ``scale``, ``softmax``, ``split`` and ``concat``
-primitives, and the finite-difference suite checks them.
+primitives, and the finite-difference suite checks them. The plain-layout
+references at the end are the value-by-value copies and plain broadcasts the
+engine's run-wise copies and row-tiled broadcasts replaced; the clipped normal
+CDF shares only ``embed``'s polynomial coefficients, its input.
 """
 
 import math
@@ -370,3 +373,85 @@ def multiscale_attention_unfused(qkv, scales):
                                      partition_taped(vs[i], l))
         maps.append(unpartition_taped(attended, qs[i].shape, l))
     return maps[0] if len(maps) == 1 else concat(maps, axis=-1)
+
+
+# ---------------------------------------------------------------------------
+# plain-layout references: the value-by-value layout copies and the plain
+# [N, C] channel broadcasts that the run-wise copies (``tensor.reshape_runs``)
+# and the row-tiled broadcasts (``tensor.channel_rows``) replaced; the fast
+# paths must equal them bit for bit
+
+def patch_cut(frames, s):
+    """The embed's patch cut, [..., 3, H, W] -> [N * H/s * W/s, 3*s*s], as one
+    numpy reshape copy of the permuted frames."""
+    cin, h, w = frames.shape[-3:]
+    g = frames.reshape(-1, cin, h // s, s, w // s, s).transpose(0, 2, 4, 1, 3, 5)
+    return g.reshape(-1, cin * s * s)
+
+
+def partition_plain(f, scale_):
+    """``attention.partition_patches`` as one numpy reshape copy."""
+    *lead, t, h, w, c = f.shape
+    ph, pw = h // scale_, w // scale_
+    g = f.reshape(-1, scale_, ph, scale_, pw, c).transpose(0, 1, 3, 2, 4, 5)
+    return g.reshape(tuple(lead) + (t * scale_ * scale_, ph * pw * c))
+
+
+def unpartition_plain(tokens, shape, scale_):
+    """``attention.unpartition_patches`` as one numpy reshape copy."""
+    *lead, t, h, w, c = shape
+    g = tokens.reshape(-1, scale_, scale_, h // scale_, w // scale_, c)
+    return g.transpose(0, 1, 3, 2, 4, 5).reshape(shape)
+
+
+def conv2d_plain(x, w, b, pad):
+    """``tensor.conv2d``'s forward on channels-last x [..., H, W, Cin]: the
+    windowed im2col as a value-by-value reshape copy, the same GEMM, then the
+    bias as a plain [N, Cout] broadcast."""
+    *lead, h, wid, cin = x.shape
+    cout, _, kh, kw = w.shape
+    xp = np.pad(x.reshape(-1, h, wid, cin), ((0, 0), (pad, pad), (pad, pad), (0, 0)))
+    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw, cin), axis=(1, 2, 3))
+    ho, wo = win.shape[1:3]
+    cols = win[:, :, :, 0].reshape(-1, kh * kw * cin)
+    out = cols @ w.transpose(0, 2, 3, 1).reshape(cout, -1).T + b
+    return out.reshape(tuple(lead) + (ho, wo, cout))
+
+
+def layer_norm_plain(x, gamma, beta, g, eps=1e-5):
+    """``tensor.layer_norm``'s output and (gx, ggamma, gbeta) for the output
+    gradient g, with gamma and beta broadcast over plain [..., C] rows."""
+    c = x.shape[-1]
+    avg = np.full((c, 1), 1.0 / c, dtype=x.dtype)
+    d = x - x @ avg
+    inv = 1.0 / np.sqrt((d * d) @ avg + eps)
+    xhat = d * inv
+    out = gamma * xhat + beta
+    gxhat = g * gamma
+    gx = inv * (gxhat - gxhat @ avg - xhat * ((gxhat * xhat) @ avg))
+    return out, (gx, (g * xhat).reshape(-1, c).sum(axis=0), g.reshape(-1, c).sum(axis=0))
+
+
+def ffn_plain(y, w1, b1, w2, b2):
+    """``embed.conv_ffn``'s forward with both biases as plain [N, C]
+    broadcasts and the clipped normal CDF below."""
+    c = y.shape[-1]
+    y2 = y.reshape(-1, c)
+    h = y2 @ w1.reshape(w1.shape[0], c).T + b1
+    out = (h * normal_cdf_clipped(h)) @ w2.reshape(w2.shape[0], -1).T + b2
+    return out.reshape(y.shape[:-1] + out.shape[-1:])
+
+
+def normal_cdf_clipped(x):
+    """``embed.normal_cdf`` as it was with its input clipped to [-20, 20]:
+    0.5 * (1 + tanh(x * P(x**2))) with P's Horner steps in the same order."""
+    from padformer.embed import _CDF_COEFFS
+    x = np.clip(x, -20.0, 20.0)
+    u = x * x
+    p = _CDF_COEFFS[-1] * u
+    for c in _CDF_COEFFS[-2:0:-1]:
+        p += c
+        p *= u
+    p += _CDF_COEFFS[0]
+    p *= x
+    return 0.5 * (1.0 + np.tanh(p))

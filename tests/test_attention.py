@@ -18,8 +18,8 @@ from padformer.tensor import ShapeError
 
 from gradcheck import scalarize
 from oracles import (head_attention, multiscale_attention_naive,
-                     multiscale_attention_unfused, partition_taped, split,
-                     unpartition_taped)
+                     multiscale_attention_unfused, partition_plain, partition_taped, split,
+                     unpartition_plain, unpartition_taped)
 
 
 def rand_map(rng, t, c, h, w):
@@ -179,6 +179,31 @@ def test_partition_unpartition_round_trip_bitwise(t, l):
     rng = np.random.default_rng(t * 10 + l)
     x = rng.normal(size=(t, 8, 8, 3)).astype(np.float32)
     assert np.array_equal(unpartition_patches(partition_patches(x, l), x.shape, l), x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10_000), dtype=st.sampled_from([np.float32, np.float64]),
+       scales=st.lists(st.sampled_from([1, 2, 4]), min_size=1, max_size=3),
+       width=st.integers(1, 6), cell=st.integers(1, 3), t=st.integers(1, 3),
+       batch=st.sampled_from([(), (1,), (3,)]))
+def test_run_wise_partition_is_the_plain_copy_on_channel_slices(
+        seed, dtype, scales, width, cell, t, batch):
+    # each head's q, k and v are channel slices of one [..., 3, heads, width]
+    # view of the projection, as multiscale_attention takes them
+    heads = len(scales)
+    side = 4 * cell
+    rng = np.random.default_rng(seed)
+    qkv = rng.normal(size=batch + (t, side, side, 3 * heads * width)).astype(dtype)
+    parts = qkv.reshape(qkv.shape[:-1] + (3, heads, width))
+    for i, l in enumerate(scales):
+        for j in range(3):
+            f = parts[..., j, i, :]
+            got = partition_patches(f, l)
+            want = partition_plain(f, l)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            back = unpartition_patches(got * 2.0, f.shape, l)
+            assert back.tobytes() == unpartition_plain(want * 2.0, f.shape, l).tobytes()
+            assert np.array_equal(back, 2.0 * f)
 
 
 def test_partition_rejects_indivisible_extent():

@@ -2,6 +2,7 @@
 
 import importlib.util
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -81,3 +82,42 @@ GAIN = [v + 10 for v in TEN]                  # met on the metric alone
 def test_claim_is_not_met_when_the_change_fails_more(failed, attempted, correct, met):
     v = verdict(TEN, GAIN, failed=failed, attempted=attempted, correct=correct)
     assert v["met"] is met
+
+
+def test_verdict_line_names_the_outcome_wins_gap_and_iqr():
+    v = verdict(TEN, GAIN)
+    assert bench_pairs.verdict_line(v) == ("claim w:m met: change won 10/10 pairs, "
+                                           "median gap 10 vs parent IQR 4.5")
+    v = verdict(TEN, [v + 4 for v in TEN], correct=(True, False))
+    assert bench_pairs.verdict_line(v) == ("claim w:m NOT met: change won 10/10 pairs, "
+                                           "median gap 4 vs parent IQR 4.5, "
+                                           "a change run was not correct")
+    assert bench_pairs.verdict_line(None) == "claim: none"
+
+
+def test_main_prints_the_verdict_as_its_last_stderr_line(tmp_path, monkeypatch, capsys):
+    # both sides' runs are stand-ins: the parent reads 100 + i, the change 110 + i
+    names = [m["name"] for m in bench_pairs.json.loads(
+        (bench_pairs.ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]]
+    calls = {"parent": 0, "change": 0}
+
+    def fake_run(root, workload, seed, seconds, trace):
+        side = "change" if root == bench_pairs.ROOT else "parent"
+        calls[side] += 1
+        value = 100.0 + calls[side] + (10.0 if side == "change" else 0.0)
+        return {"metrics": {n: {"value": value} for n in names}, "failed": 0,
+                "attempted": 1, "correct": True, "env": {}, "layer": {}}
+
+    # no git: the benchmark-files check reads a clean tree
+    monkeypatch.setattr(bench_pairs.subprocess, "run", lambda *a, **k: SimpleNamespace(
+        returncode=0, stdout=""))
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    monkeypatch.setattr(bench_pairs, "unpack_commit", lambda rev, dest: "f" * 40)
+    monkeypatch.setattr(bench_pairs, "src_lines", lambda root: 1)
+    out = tmp_path / "BENCH_x.json"
+    assert bench_pairs.main(["--seed", "1", "--pairs", "eval-hires=10",
+                             "--claim", "eval-hires:clips_per_s", "--out", str(out)]) == 0
+    last = capsys.readouterr().err.strip().splitlines()[-1]
+    assert last == bench_pairs.verdict_line(
+        bench_pairs.json.loads(out.read_text(encoding="utf-8"))["claim"])
+    assert last.startswith("claim eval-hires:clips_per_s met: change won 10/10 pairs")

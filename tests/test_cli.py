@@ -12,7 +12,7 @@ import pytest
 from padformer import vpt
 from padformer.cli import main, write_pgm
 from padformer.config import RunConfig, dump_config, load_config, parse_config
-from padformer.model import load_checkpoint, save_checkpoint
+from padformer.model import init_params, load_checkpoint, save_checkpoint
 from padformer.synth import load_store, write_store
 
 from test_model import six_tensor_format
@@ -437,6 +437,40 @@ def test_train_names_a_store_clip_that_does_not_fit_the_config(
                         rf"{re.escape(str(shape))}, config needs at least 2 frames "
                         rf"of \(3, 16, 16\)\n", err), err
     assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def frames4_checkpoint(tmp_path_factory):
+    """An untrained checkpoint of a 32x32, frames=4 model."""
+    root = tmp_path_factory.mktemp("frames4")
+    cfg = parse_config("frames=4\nsource_frames=4\nheight=32\nwidth=32\n"
+                       "train_clips=1\ndev_clips=1\ntest_clips=1\n")
+    save_checkpoint(root / "checkpoint", init_params(cfg.model_config()), dump_config(cfg))
+    return root / "checkpoint"
+
+
+@pytest.mark.parametrize("store_text,shape", [
+    ("frames=4\nsource_frames=4\nheight=64\nwidth=64\n", (4, 3, 64, 64)),
+    ("frames=2\nsource_frames=2\nheight=32\nwidth=32\n", (2, 3, 32, 32)),
+], ids=["64x64-store", "2-frame-store"])
+@pytest.mark.parametrize("command,split", [("eval", "dev"), ("export-attention", "test")])
+def test_scoring_names_a_store_clip_that_does_not_fit_the_checkpoint(
+        frames4_checkpoint, tmp_path, capsys, store_text, shape, command, split):
+    # eval scores the dev split first; export-attention reads the first test clip
+    (tmp_path / "store.cfg").write_text(
+        store_text + "train_clips=1\ndev_clips=1\ntest_clips=1\n", encoding="utf-8")
+    data = tmp_path / "data"
+    assert main(["gen-data", "--config", str(tmp_path / "store.cfg"), "--out", str(data)]) == 0
+    capsys.readouterr()
+    argv = [command, "--checkpoint", str(frames4_checkpoint), "--data", str(data)]
+    if command == "export-attention":
+        argv += ["--out", str(tmp_path / "maps")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(rf"error: clip {split}_(bona|attack)_\d{{4}} has shape "
+                        rf"{re.escape(str(shape))}, config needs at least 4 frames "
+                        rf"of \(3, 32, 32\)\n", err), err
+    assert not (tmp_path / "maps").exists()
 
 
 def test_missing_checkpoint_config(tmp_path, capsys):

@@ -1,6 +1,9 @@
 """Convolutional tokenizer, Q/K/V projection, and feed-forward stage."""
 
+import warnings
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,7 +12,7 @@ from padformer.attention import conv_project, multiscale_attention
 from padformer.embed import conv_ffn, conv_token_embed, normal_cdf
 
 from oracles import (concat, conv2d_backward_naive, conv2d_naive, ffn_naive, gelu_exact,
-                     normal_cdf_exact, split)
+                     ffn_plain, normal_cdf_clipped, normal_cdf_exact, patch_cut, split)
 from gradcheck import scalarize
 from test_attention import thirds
 from test_gradients import check, gelu
@@ -97,6 +100,25 @@ def test_patchify_embed_matches_the_strided_conv_oracle(seed, stride, lead, cout
     _, want_gw, want_gb = conv2d_backward_naive(x, w.data, channels_first(g), stride, 0)
     np.testing.assert_allclose(w.grad, want_gw, rtol=0, atol=1e-10)
     np.testing.assert_allclose(b.grad, want_gb, rtol=0, atol=1e-10)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000), dtype=st.sampled_from([np.float32, np.float64]),
+       stride=st.sampled_from([1, 2, 4, 8]), b=st.integers(1, 3), t=st.integers(1, 3),
+       step=st.integers(1, 3), rows=st.integers(1, 3), cols=st.integers(1, 3),
+       cout=st.integers(1, 12))
+def test_run_wise_patch_cut_is_the_plain_cut(seed, dtype, stride, b, t, step, rows, cols, cout):
+    # frames as the samplers give them: every step-th frame of a longer source,
+    # a view; B*T*rows*cols token rows, mostly not a multiple of 64
+    rng = np.random.default_rng(seed)
+    source = rng.random((b, t * step, 3, rows * stride, cols * stride)).astype(dtype)
+    frames = source[:, ::step]
+    w, bias = rng.normal(size=(cout, 3, stride, stride)), rng.normal(size=cout)
+    out = conv_token_embed(frames, T.tensor(w, dtype), T.tensor(bias, dtype), stride)
+    wmat = np.ascontiguousarray(w.astype(dtype).reshape(cout, -1).T)
+    want = patch_cut(frames, stride) @ wmat + bias.astype(dtype)
+    assert out.data.dtype == dtype
+    assert out.data.tobytes() == want.tobytes()
 
 
 # --------------------------------------------------------------- projection
@@ -233,12 +255,28 @@ def test_normal_cdf_is_within_one_float32_step_of_phi():
 
 
 def test_normal_cdf_saturates_without_overflow_warnings():
-    # past |x| ~ 4,340 in float32 the Horner terms of an unclipped x overflow,
-    # and under filterwarnings = error numpy's overflow warning raises
+    # past |x| ~ 4,340 in float32 the Horner terms overflow, and under
+    # filterwarnings = error a numpy overflow warning would raise
     x = np.array([5e3, -5e3, 1e30, -1e30], dtype=np.float32)
     got = normal_cdf(x)
     assert got.dtype == np.float32
     assert np.array_equal(got, [1.0, 0.0, 1.0, 0.0])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_unclipped_normal_cdf_is_bitwise_the_clipped_formula(dtype):
+    big = np.finfo(dtype).max
+    tail = np.geomspace(20.0, min(float(big), 1e308), 20_001).astype(dtype)[1:]
+    x = np.concatenate([np.linspace(-30.0, 30.0, 600_001), tail, -tail,
+                        [big, -big, np.inf, -np.inf, 0.0, -0.0, np.nan, 20.0, -20.0]]
+                       ).astype(dtype)
+    assert np.abs(x[600_001:-9]).min() > 20.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = normal_cdf(x)
+    want = normal_cdf_clipped(x)
+    assert got.dtype == want.dtype == dtype
+    assert got.tobytes() == want.tobytes()
 
 
 @settings(max_examples=300, deadline=None)
@@ -264,6 +302,20 @@ def test_ffn_identity_convs_reduce_to_gelu():
     out = conv_ffn(T.tensor(y, dtype=np.float64), wid, b, wid, b)
     want, _ = gelu_exact(y)
     assert np.all(np.abs(out.data - want) <= PHI_BOUND * np.abs(y))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000), dtype=st.sampled_from([np.float32, np.float64]),
+       lead=st.sampled_from([(1,), (5,), (2, 3, 3), (16, 8, 4, 4)]), c=st.integers(1, 12),
+       ratio=st.integers(1, 4))
+def test_ffn_forward_is_the_plain_bias_broadcast(seed, dtype, lead, c, ratio):
+    rng = np.random.default_rng(seed)
+    y = rng.normal(size=lead + (c,)).astype(dtype)
+    w1, b1 = rng.normal(size=(ratio * c, c, 1, 1)), rng.normal(size=ratio * c)
+    w2, b2 = rng.normal(size=(c, ratio * c, 1, 1)), rng.normal(size=c)
+    ops = [a.astype(dtype) for a in (y, w1, b1, w2, b2)]
+    out = conv_ffn(*(T.tensor(a, dtype) for a in ops))
+    assert out.data.tobytes() == ffn_plain(*ops).tobytes()
 
 
 @settings(max_examples=25, deadline=None)

@@ -46,6 +46,23 @@ def test_batch_is_bytewise_the_list_based_batch(seed, t, extra, b, n, mode, augm
         assert labels.dtype.kind == "i" and labels.tolist() == ref_labels.tolist()
 
 
+@pytest.mark.parametrize("s,t", [(8, 4), (12, 5)], ids=["t-divides-s", "t-does-not-divide-s"])
+@pytest.mark.parametrize("mode", ["uniform", "random-interval"])
+@pytest.mark.parametrize("augment", [True, False], ids=["augment", "no-augment"])
+def test_batch_from_strided_and_indexed_picks_is_the_list_based_batch(s, t, mode, augment):
+    # T | S and random-interval picks are read as views of the store clip,
+    # uneven uniform picks as an index gather; the bytes are the same
+    cfg = RunConfig(frames=t, source_frames=s, height=16, width=16, batch_size=4,
+                    sample_mode=mode, augment=augment, seed=5)
+    records = records_for(5, 3, s)
+    sources = [r.frames.copy() for r in records]
+    for (frames, labels), (ref_frames, ref_labels) in zip(
+            batches(make_batch, records, cfg, 4), batches(make_batch_listwise, records, cfg, 4)):
+        assert frames.tobytes() == ref_frames.tobytes()
+        assert labels.tolist() == ref_labels.tolist()
+    assert all(np.array_equal(r.frames, src) for r, src in zip(records, sources))
+
+
 @pytest.mark.parametrize("s,h", [(8, 32), (1, 16)], ids=["larger-frames", "fewer-frames"])
 def test_a_clip_that_does_not_fit_the_config_is_named(s, h):
     cfg = RunConfig(frames=2, source_frames=2, height=16, width=16, batch_size=2)

@@ -13,7 +13,8 @@ from padformer import tensor as T
 from padformer.config import ConfigError, RunConfig
 from padformer.harness import train_model
 from padformer.model import (INIT_STD, ModelConfig, VideoClip, augment_frames,
-                             cross_entropy, forward, init_params, load_checkpoint,
+                             cross_entropy, forward, frame_indices, init_params,
+                             load_checkpoint,
                              param_count, parameter_shapes, predict_score,
                              sample_frames, save_checkpoint, train_step,
                              zero_grads)
@@ -410,6 +411,43 @@ def test_random_interval_sampling_is_seeded():
     picked = a.frames[:, 0, 0, 0]
     gaps = np.diff(picked)
     assert np.all(gaps == gaps[0]) and gaps[0] >= 1
+
+
+def numbered_frames(s):
+    """S frames [S, 3, 2, 2] whose every pixel holds its frame's index."""
+    return np.arange(s, dtype=np.float32).reshape(s, 1, 1, 1) * np.ones((s, 3, 2, 2), np.float32)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10_000), t=st.integers(1, 6), extra=st.integers(0, 12))
+def test_random_interval_picks_are_a_strided_view(seed, t, extra):
+    frames = numbered_frames(t + extra)
+    picks = frame_indices(t + extra, t, "random-interval", np.random.default_rng(seed))
+    assert isinstance(picks, slice)
+    clip = sample_frames(frames, t, "random-interval", np.random.default_rng(seed))
+    assert np.shares_memory(clip.frames, frames)
+    idx = clip.frames[:, 0, 0, 0].astype(int)
+    assert len(idx) == t and idx.min() >= 0 and idx.max() < t + extra
+    assert len(set(np.diff(idx).tolist())) <= 1 and (np.diff(idx) > 0).all()
+
+
+@pytest.mark.parametrize("s,t", [(8, 8), (8, 4), (8, 2), (12, 4), (16, 1), (12, 3)])
+def test_uniform_picks_are_a_view_when_t_divides_s(s, t):
+    frames = numbered_frames(s)
+    assert isinstance(frame_indices(s, t, "uniform", None), slice)
+    clip = sample_frames(frames, t, "uniform")
+    assert np.shares_memory(clip.frames, frames)
+    assert clip.frames[:, 0, 0, 0].tolist() == [i * s // t for i in range(t)]
+
+
+@pytest.mark.parametrize("s,t", [(12, 5), (8, 3), (7, 4)])
+def test_uniform_picks_when_t_does_not_divide_s_read_floor_i_s_over_t(s, t):
+    frames = numbered_frames(s)
+    clip = sample_frames(frames, t, "uniform")
+    assert not np.shares_memory(clip.frames, frames)
+    assert clip.frames[:, 0, 0, 0].tolist() == [i * s // t for i in range(t)]
+    if (s, t) == (12, 5):
+        assert clip.frames[:, 0, 0, 0].tolist() == [0, 2, 4, 7, 9]
 
 
 def test_sampling_rejects_short_source():

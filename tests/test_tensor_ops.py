@@ -11,7 +11,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from padformer import tensor as T
-from oracles import concat, conv2d_backward_naive, conv2d_naive, scale, softmax, split
+from oracles import (concat, conv2d_backward_naive, conv2d_naive, conv2d_plain,
+                     layer_norm_plain, scale, softmax, split)
 from test_gradients import gelu
 
 
@@ -344,3 +345,85 @@ class TestAdam:
             p.grad = 2.0 * p.data
             T.adam_step({"x": p}, state, lr=0.1)
         assert abs(p.data[0]) < 0.5
+
+
+# ---------------------------------------------------------------------------
+# run-wise layout copies and row-tiled channel broadcasts: bitwise the plain ones
+
+FLOATS = st.sampled_from([np.float32, np.float64])
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10_000), dtype=FLOATS, n=st.integers(1, 300),
+       c=st.integers(1, 48))
+def test_channel_rows_broadcast_is_the_plain_broadcast(seed, dtype, n, c):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, c)).astype(dtype)
+    v, u = rng.normal(size=(2, c)).astype(dtype)
+    rows, tv, tu = T.channel_rows(x, v, u)
+    assert rows.shape[1] % c == 0 and rows.size == x.size
+    assert ((rows * tv + tu).reshape(x.shape).tobytes() == (x * v + u).tobytes())
+    want = (x + v).tobytes()
+    rows += tv                                  # in place, through the view
+    assert x.tobytes() == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000), dtype=FLOATS,
+       lead=st.lists(st.integers(1, 9), min_size=1, max_size=3), c=st.integers(1, 13),
+       trail=st.sampled_from([(), (2,)]))
+def test_bias_add_is_the_plain_broadcast(seed, dtype, lead, c, trail):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=tuple(lead) + (c,) + trail).astype(dtype)
+    b = rng.normal(size=(c,) + trail).astype(dtype)
+    out = T.add(T.tensor(a, dtype), T.tensor(b, dtype))
+    assert out.data.tobytes() == (a + b).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000), dtype=FLOATS,
+       lead=st.sampled_from([(1,), (3,), (2, 3), (5, 7)]), hw=st.integers(1, 7),
+       cin=st.integers(1, 12), cout=st.integers(1, 36), k=st.sampled_from([1, 3]),
+       pad=st.integers(0, 1))
+def test_conv2d_forward_is_the_plain_im2col_and_bias(seed, dtype, lead, hw, cin, cout, k, pad):
+    # row counts n * Ho * Wo range over values that 64 does not divide
+    if hw + 2 * pad < k:
+        pad = 1
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=lead + (hw, hw + 1, cin)).astype(dtype)
+    w = rng.normal(size=(cout, cin, k, k)).astype(dtype)
+    b = rng.normal(size=cout).astype(dtype)
+    out = T.conv2d(T.tensor(x, dtype), T.tensor(w, dtype), T.tensor(b, dtype), pad=pad)
+    assert out.data.tobytes() == conv2d_plain(x, w, b, pad).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000), dtype=FLOATS,
+       lead=st.sampled_from([(1,), (7,), (2, 3, 5), (16, 8, 4, 4)]), c=st.integers(1, 48))
+def test_layer_norm_is_the_plain_broadcast_forward_and_backward(seed, dtype, lead, c):
+    rng = np.random.default_rng(seed)
+    x, g = (rng.normal(size=lead + (c,)).astype(dtype) for _ in range(2))
+    gamma, beta = (rng.normal(size=c).astype(dtype) for _ in range(2))
+    want_out, want_grads = layer_norm_plain(x, gamma, beta, g)
+    out = T.layer_norm(T.tensor(x, dtype), T.param(gamma), T.param(beta))
+    assert out.data.tobytes() == want_out.tobytes()
+    x_t, gamma_t, beta_t = T.param(x), T.param(gamma), T.param(beta)
+    with T.Tape():
+        out = T.layer_norm(x_t, gamma_t, beta_t)
+        grads = out.node.backward(g)
+    for got, want in zip(grads, want_grads):
+        assert got.dtype == dtype and got.tobytes() == want.tobytes()
+
+
+def test_reshape_runs_views_where_reshape_views_and_copies_other_layouts():
+    base = np.arange(2 * 4 * 6 * 9, dtype=np.float32).reshape(2, 4, 6, 9)
+    view = base[:, :, :, 3:6]                    # one channel slice: runs of 3
+    merged = T.reshape_runs(view, (8, 6, 3))     # leading axes merge as a view
+    assert np.shares_memory(merged, base) and np.array_equal(merged, view.reshape(8, 6, 3))
+    copied = T.reshape_runs(view, (8, 18))
+    assert not np.shares_memory(copied, base) and copied.flags.c_contiguous
+    assert np.array_equal(copied, view.reshape(8, 18))
+    moved = view.transpose(1, 0, 2, 3)
+    assert np.array_equal(T.reshape_runs(moved, (8, 18)), moved.reshape(8, 18))
+    flipped = base[..., ::-1]                    # no contiguous run: a plain reshape
+    assert np.array_equal(T.reshape_runs(flipped, (48, 9)), flipped.reshape(48, 9))
