@@ -190,16 +190,12 @@ def attention_rollout(rec: AttentionRecord, frame: int) -> np.ndarray:
     and painted onto its grid cell; the result is a [map_h, map_w] float map
     at token-map resolution.
     """
-    n_frames = int(rec.frame_of.max()) + 1
+    l = rec.scale
+    n_frames = rec.alpha.shape[0] // (l * l)
     if not 0 <= frame < n_frames:
         raise ValueError(f"frame {frame} out of range for {n_frames}-frame record")
-    received = rec.alpha.mean(axis=0)
-    heat = np.zeros((rec.map_h, rec.map_w), dtype=rec.alpha.dtype)
-    ch, cw = rec.map_h // rec.scale, rec.map_w // rec.scale
-    for token in np.nonzero(rec.frame_of == frame)[0]:
-        r, col = rec.cell_of[token]
-        heat[r * ch:(r + 1) * ch, col * cw:(col + 1) * cw] = received[token]
-    return heat
+    cells = rec.alpha.mean(axis=0).reshape(n_frames, l, l)[frame]
+    return cells.repeat(rec.map_h // l, axis=0).repeat(rec.map_w // l, axis=1)
 
 
 def upsample_nearest(heat: np.ndarray, out_h: int, out_w: int) -> np.ndarray:

@@ -36,9 +36,6 @@ def _post_init(self):
         raise ConfigError("warmup_frac must lie in [0, 1]")
     if not 0 < self.lr < math.inf:
         raise ConfigError(f"lr must be finite and > 0, got {self.lr!r}")
-    for name in ("beta1", "beta2"):
-        if not 0 <= getattr(self, name) < 1:
-            raise ConfigError(f"{name} must lie in [0, 1), got {getattr(self, name)!r}")
     if self.source_frames < self.frames:
         raise ConfigError(f"source_frames {self.source_frames} < clip length "
                           f"{self.frames}")
@@ -63,8 +60,6 @@ RunConfig = dataclasses.make_dataclass(
     _shared_fields(ModelConfig, ("seed",))
     + _shared_fields(SynthSpec, ("height", "width", "seed"))
     + [("lr", float, 0.001),
-       ("beta1", float, 0.9),
-       ("beta2", float, 0.999),
        ("steps", int, 2000),
        ("batch_size", int, 16),
        ("warmup_frac", float, 0.05),
@@ -87,13 +82,13 @@ _FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
 
 
 def _parse_value(field, raw: str, line_no: int):
-    name, text = field.name, raw.strip()
-    if field.type in ("int", int):
+    name, text, kind = field.name, raw.strip(), type(field.default)
+    if kind is int:
         try:
             return int(text)
         except ValueError:
             raise ConfigError(f"line {line_no}: invalid int for {name!r}: {text!r}")
-    if field.type in ("float", float):
+    if kind is float:
         try:
             value = float(text)
         except ValueError:
@@ -101,14 +96,14 @@ def _parse_value(field, raw: str, line_no: int):
         if not math.isfinite(value):
             raise ConfigError(f"line {line_no}: non-finite float for {name!r}: {text!r}")
         return value
-    if field.type in ("bool", bool):
+    if kind is bool:
         if text == "true":
             return True
         if text == "false":
             return False
         raise ConfigError(f"line {line_no}: invalid bool for {name!r}: {text!r} "
                           f"(use true/false)")
-    if field.type in ("tuple", tuple):
+    if kind is tuple:
         parts = [p.strip() for p in text.split(",") if p.strip()]
         if not parts:
             raise ConfigError(f"line {line_no}: {name!r} needs at least one entry")

@@ -14,7 +14,7 @@ import csv
 from dataclasses import dataclass
 from pathlib import Path
 
-from .model import NUM_CLASSES, ModelConfig
+from .model import FFN_RATIO, NUM_CLASSES, ModelConfig
 
 FLOP_CONVENTION = "flops = 2 * multiply-accumulates; activations 1/element"
 
@@ -68,7 +68,7 @@ def count_cost(cfg: ModelConfig) -> CostReport:
     """Per-clip cost of one forward pass under the declared config."""
     t, c, k = cfg.frames, cfg.embed_channels, NUM_CLASSES
     mh, mw = cfg.map_h, cfg.map_w
-    hid = cfg.ffn_ratio * c
+    hid = FFN_RATIO * c
     elems = t * c * mh * mw
     s = cfg.embed_stride
     heads = len(cfg.scales)

@@ -69,7 +69,7 @@ def train_model(cfg: RunConfig, train_records) -> TrainResult:
         raise ValueError("no training clips")
     mcfg = cfg.model_config()
     params = init_params(mcfg)
-    state = AdamState(params, betas=(cfg.beta1, cfg.beta2))
+    state = AdamState(params)
     batch_rng = stream(cfg.seed, "batches")
     sample_rng = stream(cfg.seed, "sampling")
     augment_rng = stream(cfg.seed, "augment")

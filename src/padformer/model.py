@@ -29,6 +29,7 @@ from .tensor import AdamState, ShapeError, Tensor, adam_step
 
 INIT_STD = 0.02
 NUM_CLASSES = 2                 # attack / bona fide
+FFN_RATIO = 4                   # feed-forward hidden width per channel
 
 
 @dataclass(frozen=True)
@@ -40,7 +41,6 @@ class ModelConfig:
     embed_channels: int = 12
     scales: tuple = (1, 2)
     depth: int = 2
-    ffn_ratio: int = 4
     seed: int = 0
 
     def __post_init__(self):
@@ -49,7 +49,7 @@ class ModelConfig:
             raise ValueError(f"need at least one frame, got {self.frames}")
         if self.depth < 0:
             raise ValueError(f"depth must be >= 0, got {self.depth}")
-        for name in ("embed_stride", "embed_channels", "ffn_ratio"):
+        for name in ("embed_stride", "embed_channels"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.height % self.embed_stride or self.width % self.embed_stride:
@@ -78,7 +78,7 @@ class ModelConfig:
 def parameter_shapes(cfg: ModelConfig) -> dict:
     """Name -> shape for every trainable tensor; fixed enumeration order."""
     c = cfg.embed_channels
-    hid = cfg.ffn_ratio * c
+    hid = FFN_RATIO * c
     shapes = {
         "embed.weight": (c, 3, cfg.embed_stride, cfg.embed_stride),
         "embed.bias": (c,),
@@ -150,29 +150,26 @@ def forward(frames, params: dict, cfg: ModelConfig, records: list | None = None)
 def cross_entropy(logits: Tensor, labels) -> Tensor:
     """Mean negative log-likelihood of the true classes under softmax(logits).
 
-    ``logits`` is [K] with one int label, or [B, K] with B labels. Scalar
-    output; the gradient of each row is softmax(row) minus its one-hot
-    target, divided by B.
+    ``logits`` is [B, K] with B int labels. Scalar output; the gradient of
+    each row is softmax(row) minus its one-hot target, divided by B.
     """
     z = logits.data
-    if z.ndim not in (1, 2):
-        raise ShapeError(f"cross_entropy expects [K] or [B, K] logits, got {z.shape}")
-    rows = z.reshape(-1, z.shape[-1])
-    y = np.asarray(labels).reshape(-1)
-    if y.shape != (rows.shape[0],):
-        raise ShapeError(f"{y.size} labels for {rows.shape[0]} logit rows")
-    if y.dtype.kind not in "iu" or y.min() < 0 or y.max() >= rows.shape[1]:
-        raise ValueError(f"labels {y.tolist()} must be class indices below {rows.shape[1]}")
-    m = rows.max(axis=1, keepdims=True)
-    lse = m + np.log(np.exp(rows - m).sum(axis=1, keepdims=True))
-    probs = np.exp(rows - lse)
-    picked = np.arange(rows.shape[0])
-    loss = (lse[:, 0] - rows[picked, y]).mean()
+    y = np.asarray(labels)
+    if z.ndim != 2 or y.shape != z.shape[:1]:
+        raise ShapeError(f"cross_entropy expects [B, K] logits and [B] labels, "
+                         f"got {z.shape} and {y.shape}")
+    if y.dtype.kind not in "iu" or y.min() < 0 or y.max() >= z.shape[1]:
+        raise ValueError(f"labels {y.tolist()} must be class indices below {z.shape[1]}")
+    m = z.max(axis=1, keepdims=True)
+    lse = m + np.log(np.exp(z - m).sum(axis=1, keepdims=True))
+    probs = np.exp(z - lse)
+    picked = np.arange(z.shape[0])
+    loss = (lse[:, 0] - z[picked, y]).mean()
 
     def back(g):
         d = probs.copy()
         d[picked, y] -= 1.0
-        return ((d * (g / rows.shape[0])).reshape(z.shape),)
+        return (d * (g / z.shape[0]),)
 
     return tt.record(np.asarray(loss, dtype=z.dtype), (logits,), back)
 

@@ -34,6 +34,7 @@ _BASE_GRAY = 0.45
 _BLOB_AMP = (0.30, 0.22, 0.18)
 _TEXTURE_BASE_AMP = 0.04
 _JITTER_STD = 0.8
+_PULSE_FREQ = (0.5, 2.0)         # bona fide pulse cycles per clip
 
 
 @dataclass(frozen=True)
@@ -46,8 +47,6 @@ class SynthSpec:
     source_frames: int = 8
     texture_amp: float = 0.10       # attack spatial cue
     pulse_amp: float = 0.15         # bona fide temporal cue
-    pulse_freq_min: float = 0.5     # cycles per clip
-    pulse_freq_max: float = 2.0
     noise_sigma: float = 0.02
     seed: int = 0
 
@@ -55,8 +54,6 @@ class SynthSpec:
         for name in ("texture_amp", "pulse_amp", "noise_sigma"):
             if not getattr(self, name) >= 0:         # NaN fails too
                 raise ValueError(f"{name} must be >= 0")
-        if self.pulse_freq_min > self.pulse_freq_max:
-            raise ValueError("pulse_freq_min must not exceed pulse_freq_max")
         for name in ("train_clips", "dev_clips", "test_clips",
                      "height", "width", "source_frames"):
             if getattr(self, name) < 1:
@@ -112,7 +109,7 @@ def _make_clip(spec: SynthSpec, split: str, idx: int, label: int, grid) -> np.nd
     cue = stream(spec.seed, "cue", split, idx, label)
 
     if label == 1:
-        freq = cue.uniform(spec.pulse_freq_min, spec.pulse_freq_max)
+        freq = cue.uniform(*_PULSE_FREQ)
         phase = cue.uniform(0, 2 * np.pi)
         wave = spec.pulse_amp * np.sin(2 * np.pi * freq * np.arange(s) / s + phase)
         clip += wave[:, None, None, None]

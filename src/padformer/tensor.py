@@ -422,18 +422,17 @@ def mean(x: Tensor, axes) -> Tensor:
 # optimizer
 
 class AdamState:
-    """First/second-moment buffers, their decay rates and the shared step counter."""
+    """First/second-moment buffers and the shared step counter."""
 
-    def __init__(self, params: dict, betas=(0.9, 0.999)):
+    def __init__(self, params: dict):
         self.step = 0
-        self.betas = betas
         self.m = {name: np.zeros_like(p.data) for name, p in params.items()}
         self.v = {name: np.zeros_like(p.data) for name, p in params.items()}
 
 
 def adam_step(params: dict, state: AdamState, lr: float, eps: float = 1e-8):
     """One Adam update with bias correction; params with ``grad=None`` are skipped."""
-    b1, b2 = state.betas
+    b1, b2 = 0.9, 0.999             # moment decay rates
     state.step += 1
     t = state.step
     c1 = 1.0 - b1 ** t

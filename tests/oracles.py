@@ -201,7 +201,7 @@ def make_clip_loops(spec, split, idx, label):
 
     cue = stream(spec.seed, "cue", split, idx, label)
     if label == 1:
-        freq = cue.uniform(spec.pulse_freq_min, spec.pulse_freq_max)
+        freq = cue.uniform(0.5, 2.0)
         phase = cue.uniform(0, 2 * np.pi)
         wave = spec.pulse_amp * np.sin(2 * np.pi * freq * np.arange(s) / s + phase)
         clip += wave[:, None, None, None]
@@ -455,3 +455,15 @@ def normal_cdf_clipped(x):
     p += _CDF_COEFFS[0]
     p *= x
     return 0.5 * (1.0 + np.tanh(p))
+
+
+def attention_rollout_loop(rec, frame):
+    """``attention.attention_rollout`` as a per-token loop: paint each of the
+    frame's tokens' mean received weight onto its grid cell."""
+    received = rec.alpha.mean(axis=0)
+    heat = np.zeros((rec.map_h, rec.map_w), dtype=rec.alpha.dtype)
+    ch, cw = rec.map_h // rec.scale, rec.map_w // rec.scale
+    for token in np.nonzero(rec.frame_of == frame)[0]:
+        r, col = rec.cell_of[token]
+        heat[r * ch:(r + 1) * ch, col * cw:(col + 1) * cw] = received[token]
+    return heat

@@ -112,7 +112,7 @@ def test_criterion_1_gradient_suite(capsys):
         ("split", lambda a: scalarize(split(a, 2, 1)[1], p6), [r(2, 6)]),
         ("mean", lambda a: scalarize(T.mean(a, axes=(0, 2)), p3),
          [r(2, 3, 4)]),
-        ("cross_entropy", lambda z: cross_entropy(z, 1), [r(2)]),
+        ("cross_entropy", lambda z: cross_entropy(z, [1]), [r(2).reshape(1, 2)]),
         ("cross_entropy batch", lambda z: cross_entropy(z, [1, 0, 1]), [r(3, 2)]),
         # the attention primitive on a batch of two clips, heads at scales 1 and 2
         ("multiscale_attention", lambda m: scalarize(

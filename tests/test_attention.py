@@ -17,7 +17,7 @@ from padformer.attention import (AttentionRecord, attention_rollout,
 from padformer.tensor import ShapeError
 
 from gradcheck import scalarize
-from oracles import (head_attention, multiscale_attention_naive,
+from oracles import (attention_rollout_loop, head_attention, multiscale_attention_naive,
                      multiscale_attention_unfused, partition_plain, partition_taped, split,
                      unpartition_plain, unpartition_taped)
 
@@ -525,6 +525,21 @@ def test_all_mass_to_one_cell_gives_delta():
     assert np.array_equal(heat, want)
     assert np.array_equal(attention_rollout(rollout_record(alpha=alpha), frame=1),
                           np.zeros((4, 4)))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("scale", [1, 2, 4])
+@pytest.mark.parametrize("frames", [1, 3])
+def test_rollout_matches_the_per_token_loop_bitwise(frames, scale, dtype):
+    n = frames * scale * scale
+    rng = np.random.default_rng(frames * 10 + scale)
+    alpha = rng.random((n, n)).astype(dtype)
+    alpha /= alpha.sum(axis=1, keepdims=True)
+    rec = AttentionRecord(layer=0, head=0, scale=scale, alpha=alpha, map_h=4, map_w=8)
+    for frame in range(frames):
+        heat = attention_rollout(rec, frame)
+        want = attention_rollout_loop(rec, frame)
+        assert heat.dtype == want.dtype and np.array_equal(heat, want)
 
 
 def test_rollout_rejects_frame_out_of_range():

@@ -263,9 +263,10 @@ def test_non_finite_gradient_stops_training_without_artifacts(pipeline, tmp_path
 def test_train_rejects_beta1_of_one_before_any_step(pipeline, tmp_path, capsys):
     cfg = tmp_path / "beta.cfg"
     cfg.write_text(MICRO + "beta1=1.0\n", encoding="utf-8")
+    line = MICRO.count("\n") + 1
     out = tmp_path / "run"
     expect_error(["train", "--config", str(cfg), "--data", str(pipeline["data"]),
-                  "--out", str(out)], "beta1 must lie in [0, 1)", capsys)
+                  "--out", str(out)], f"error: line {line}: unknown key 'beta1'", capsys)
     assert not out.exists()
 
 

@@ -252,8 +252,6 @@ def test_invalid_specs_rejected():
     with pytest.raises(ValueError):
         SynthSpec(texture_amp=-0.1)
     with pytest.raises(ValueError):
-        SynthSpec(pulse_freq_min=2.0, pulse_freq_max=1.0)
-    with pytest.raises(ValueError):
         SynthSpec(train_clips=0)
     with pytest.raises(ValueError):
         SynthSpec(source_frames=0)
