@@ -41,25 +41,14 @@ class AttentionRecord:
     map_w: int
     clip: int = 0
 
-    @property
-    def frame_of(self) -> np.ndarray:
-        """Source frame of each token; tokens run frame-major, then grid row,
-        then grid column."""
-        return np.arange(self.alpha.shape[0]) // self.scale ** 2
-
-    @property
-    def cell_of(self) -> np.ndarray:
-        """(grid row, grid column) of each token."""
-        rem = np.arange(self.alpha.shape[0]) % self.scale ** 2
-        return np.stack([rem // self.scale, rem % self.scale], axis=1)
-
 
 def partition_patches(f: np.ndarray, scale: int) -> np.ndarray:
     """Split each frame of a [T, H, W, C] (or [B, T, H, W, C]) array into an
     l x l grid of tokens flattened in (ph, pw, C) order: [T * l * l,
-    H/l * W/l * C] (or [B, ...]), in the order of ``AttentionRecord.frame_of``
-    and ``cell_of``. ``f`` may be a channel slice; its C channels at each
-    position move as one run."""
+    H/l * W/l * C] (or [B, ...]), frame-major, then grid row, then grid
+    column, so an ``AttentionRecord``'s ``alpha`` reads as [T, l, l, T, l, l].
+    ``f`` may be a channel slice; its C channels at each position move as one
+    run."""
     *lead, t, h, w, c = f.shape
     if h % scale or w % scale:
         raise ShapeError(f"scale {scale} does not divide map extent {h}x{w}")
@@ -172,15 +161,6 @@ def multiscale_attention(qkv: Tensor, scales, records: list | None = None,
         return (grad.reshape(qkv.shape),)
 
     return tt.record(out.reshape(lead + (heads * width,)), (qkv,), back)
-
-
-def short_long_masks(frame_of: np.ndarray):
-    """Boolean [N, N] masks of same-frame (short) and cross-frame (long) pairs.
-
-    The two masks partition the score matrix exactly.
-    """
-    same = frame_of[:, None] == frame_of[None, :]
-    return same, ~same
 
 
 def attention_rollout(rec: AttentionRecord, frame: int) -> np.ndarray:

@@ -38,10 +38,6 @@ class CostReport:
     def total_params(self) -> int:
         return sum(e.params for e in self.entries)
 
-    @property
-    def attention_flops(self) -> int:
-        return sum(e.flops for e in self.entries if e.name.endswith(".attention"))
-
     def lines(self):
         width = max(len(e.name) for e in self.entries) + 2
         out = [f"{'component':<{width}}{'flops':>14}  {'params':>10}"]

@@ -81,7 +81,7 @@ def train_model(cfg: RunConfig, train_records) -> TrainResult:
     return TrainResult(params=params, model_config=mcfg, log_rows=rows)
 
 
-def score_split(params, mcfg: ModelConfig, records, cfg: RunConfig):
+def score_split(params, mcfg: ModelConfig, records):
     """(score, label) per clip; evaluation always samples frames uniformly."""
     out = []
     for r in records:
@@ -94,10 +94,11 @@ def score_split(params, mcfg: ModelConfig, records, cfg: RunConfig):
 
 def evaluate(params, mcfg: ModelConfig, records, cfg: RunConfig,
              split: str = "test") -> MetricReport:
-    """Fix the threshold on the dev split, then report metrics on ``split``."""
-    dev_scores = score_split(params, mcfg, split_records(records, "dev"), cfg)
+    """Fix the threshold on the dev split, then report metrics on ``split``.
+    ``cfg`` is not read; it stays for the callers that pass it positionally."""
+    dev_scores = score_split(params, mcfg, split_records(records, "dev"))
     threshold = select_threshold(dev_scores)
-    target = score_split(params, mcfg, split_records(records, split), cfg)
+    target = score_split(params, mcfg, split_records(records, split))
     return compute_metrics(target, threshold)
 
 

@@ -118,10 +118,6 @@ def init_params(cfg: ModelConfig, dtype=np.float32) -> dict:
     return params
 
 
-def param_count(params: dict) -> int:
-    return sum(p.size for p in params.values())
-
-
 def forward(frames, params: dict, cfg: ModelConfig, records: list | None = None) -> Tensor:
     """Logits [B, 2] for a batch [B, T, 3, H, W], or [1, 2] for one clip
     [T, 3, H, W]; appends per-head, per-clip attention weights to
@@ -144,7 +140,7 @@ def forward(frames, params: dict, cfg: ModelConfig, records: list | None = None)
                      params[f"layers.{i}.ffn2.weight"], params[f"layers.{i}.ffn2.bias"])
         x = tt.add(f, y)
     pooled = tt.mean(x, (1, 2, 3))                   # [B, C]
-    return tt.add(tt.matmul(pooled, params["head.weight"]), params["head.bias"])
+    return tt.linear(pooled, params["head.weight"], params["head.bias"])
 
 
 def cross_entropy(logits: Tensor, labels) -> Tensor:

@@ -3,8 +3,11 @@
 Every tensor wraps a contiguous row-major numpy buffer (float32 for training,
 float64 for gradient checking). Differentiable primitives record themselves on
 the active tape; ``backward`` replays the tape in reverse and accumulates
-gradients into leaf tensors. Higher modules compose these primitives or
-record their own (the attention layer, the loss).
+gradients into leaf tensors. The engine keeps only the primitives the model
+calls: the residual ``add``, the affine ``linear`` (the embed's patch GEMM and
+the head), ``conv2d``, ``layer_norm``, ``reshape``, ``transpose`` and the
+pool's ``mean``. Higher modules record their own (the attention layer, the
+feed-forward block, the loss).
 
 Dtype rule: every primitive returns, and back-propagates, its operands'
 dtype, so a float32 model trains and scores in float32 throughout. ``record``
@@ -23,7 +26,7 @@ import numpy as np
 
 __all__ = [
     "Tensor", "Tape", "ShapeError", "tensor", "param", "record", "backward",
-    "add", "matmul", "conv2d",
+    "add", "linear", "conv2d",
     "layer_norm", "reshape", "transpose",
     "mean", "AdamState", "adam_step",
     "channel_rows", "reshape_runs",
@@ -125,10 +128,6 @@ class Tensor:
     @property
     def dtype(self):
         return self.data.dtype
-
-    @property
-    def size(self):
-        return self.data.size
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype.name}, leaf={self.requires_grad})"
@@ -250,40 +249,33 @@ def backward(loss: Tensor) -> None:
 # elementwise ops
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum; ``b`` may also match only the trailing axes of ``a``
-    (a bias broadcast over the leading ones)."""
-    lead = a.data.ndim - b.data.ndim
-    if lead < 0 or a.data.shape[lead:] != b.data.shape:
-        raise ShapeError(f"add: shape {b.data.shape} does not match or broadcast "
-                         f"to {a.data.shape}")
-    if lead == 0:
-        return record(a.data + b.data, (a, b), lambda g: (g, g))
-    rows, bias = channel_rows(a.data.reshape(-1, b.data.size), b.data)
-    return record((rows + bias).reshape(a.data.shape), (a, b),
-                  lambda g: (g, g.sum(axis=tuple(range(lead)))))
+    """Elementwise sum of two same-shape tensors (the residual connections)."""
+    if a.data.shape != b.data.shape:
+        raise ShapeError(f"add: shapes {a.data.shape} and {b.data.shape} differ")
+    return record(a.data + b.data, (a, b), lambda g: (g, g))
 
 
 # ---------------------------------------------------------------------------
-# contraction
+# affine map
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Batched matrix product; the leading (batch) extents must be equal. A
-    constant operand (neither a parameter nor taped) gets no gradient."""
-    ad, bd = a.data, b.data
-    if ad.ndim < 2 or bd.ndim < 2:
-        raise ShapeError(f"matmul: operands must have rank >= 2, got {ad.shape} and {bd.shape}")
-    if ad.shape[-1] != bd.shape[-2]:
-        raise ShapeError(f"matmul: inner extents differ for shapes {ad.shape} and {bd.shape}")
-    if ad.shape[:-2] != bd.shape[:-2]:
-        raise ShapeError(f"matmul: batch extents differ for shapes {ad.shape} and {bd.shape}")
-    out = np.matmul(ad, bd)
-    need_ga, need_gb = (t.requires_grad or t.node is not None for t in (a, b))
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w + b`` for x [N, K], w [K, M] and b [M]; the bias is added in
+    place over ``channel_rows``. A constant ``x`` (neither a parameter nor
+    taped, like the embed's frame patches) gets no gradient."""
+    xd, wd = x.data, w.data
+    if xd.ndim != 2 or wd.ndim != 2 or xd.shape[1] != wd.shape[0] \
+            or b.data.shape != wd.shape[1:]:
+        raise ShapeError(f"linear: shapes {xd.shape} @ {wd.shape} + {b.data.shape} "
+                         f"are not [N, K] @ [K, M] + [M]")
+    out = xd @ wd
+    rows, bias = channel_rows(out, b.data)
+    rows += bias
+    need_gx = x.requires_grad or x.node is not None
 
     def back(g):
-        return (np.matmul(g, np.swapaxes(bd, -1, -2)) if need_ga else None,
-                np.matmul(np.swapaxes(ad, -1, -2), g) if need_gb else None)
+        return (g @ wd.T if need_gx else None), xd.T @ g, g.sum(axis=0)
 
-    return record(out, (a, b), back)
+    return record(out, (x, w, b), back)
 
 
 # ---------------------------------------------------------------------------

@@ -87,14 +87,21 @@ def read_tensor(path) -> np.ndarray:
 def read_member(root: Path, rel: str, where: str) -> np.ndarray:
     """Read the tensor a manifest lists at ``rel`` under ``root``.
 
-    A path that leads outside ``root`` is rejected, naming the manifest line
-    ``where``. The check is lexical (no file-system lookups), so loading a
-    store of thousands of clips stays I/O-bound.
+    A path that leads outside ``root`` or holds a NUL byte, and one that
+    cannot be opened as a file (missing, empty, ``.``, a directory), is
+    rejected, naming the manifest line ``where``. The first checks are
+    lexical and the last is the open's own error (no extra file-system
+    lookups), so loading a store of thousands of clips stays I/O-bound.
     """
     norm = os.path.normpath(rel)
     if os.path.isabs(norm) or norm.split(os.sep, 1)[0] == os.pardir:
         raise ValueError(f"{where}: path {rel!r} resolves outside {root}")
-    return read_tensor(root / rel)
+    if "\0" in rel:
+        raise ValueError(f"{where}: cannot read {rel!r}: it holds a NUL byte")
+    try:
+        return read_tensor(root / rel)
+    except OSError as exc:
+        raise ValueError(f"{where}: cannot read {rel!r}: {exc.strerror or exc}") from exc
 
 
 @contextmanager

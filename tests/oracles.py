@@ -8,8 +8,11 @@ batch, sampling and augmentation streams. The unfused feed-forward block is the 
 ``padformer.embed.conv_ffn`` replaced with one primitive. The unfused
 multi-scale attention at the end is the composition of taped
 primitives that ``padformer.attention.multiscale_attention`` replaced with one
-primitive; it keeps its own ``scale``, ``softmax``, ``split`` and ``concat``
-primitives, and the finite-difference suite checks them. The plain-layout
+primitive; it keeps its own ``scale``, ``softmax``, ``split``, ``concat`` and
+batched ``matmul`` primitives, and the finite-difference suite checks them.
+``bias_add(matmul(x, w), b)``, the two taped ops the engine's ``linear``
+replaced, is its reference, and ``frame_of``, ``cell_of`` and ``short_long_masks``
+read an attention record's token order. The plain-layout
 references at the end are the value-by-value copies and plain broadcasts the
 engine's run-wise copies and row-tiled broadcasts replaced; the clipped normal
 CDF shares only ``embed``'s polynomial coefficients, its input.
@@ -287,6 +290,33 @@ def softmax(x, axis):
     return T.record(y, (x,), back)
 
 
+def matmul(a, b):
+    """Batched matrix product; the leading (batch) extents must be equal. A
+    constant operand (neither a parameter nor taped) gets no gradient."""
+    ad, bd = a.data, b.data
+    if ad.ndim < 2 or bd.ndim < 2:
+        raise T.ShapeError(f"matmul: operands must have rank >= 2, got {ad.shape} and {bd.shape}")
+    if ad.shape[-1] != bd.shape[-2]:
+        raise T.ShapeError(f"matmul: inner extents differ for shapes {ad.shape} and {bd.shape}")
+    if ad.shape[:-2] != bd.shape[:-2]:
+        raise T.ShapeError(f"matmul: batch extents differ for shapes {ad.shape} and {bd.shape}")
+    out = np.matmul(ad, bd)
+    need_ga, need_gb = (t.requires_grad or t.node is not None for t in (a, b))
+
+    def back(g):
+        return (np.matmul(g, np.swapaxes(bd, -1, -2)) if need_ga else None,
+                np.matmul(np.swapaxes(ad, -1, -2), g) if need_gb else None)
+
+    return T.record(out, (a, b), back)
+
+
+def bias_add(a, b):
+    """Differentiable ``a + b`` for a ``b`` that matches ``a``'s trailing
+    axes, as a plain numpy broadcast; ``b``'s gradient sums the leading ones."""
+    lead = tuple(range(a.data.ndim - b.data.ndim))
+    return T.record(a.data + b.data, (a, b), lambda g: (g, g.sum(axis=lead)))
+
+
 def split(x, parts, axis):
     """Differentiable split into ``parts`` equal slices along ``axis``; inverse
     of concat. Each slice's gradient is written into a zero array of the
@@ -353,9 +383,9 @@ def head_attention(q, k, v):
     returns the attended tokens and the weights."""
     n = len(k.shape)
     kt = T.transpose(k, tuple(range(n - 2)) + (n - 1, n - 2))
-    scores = scale(T.matmul(q, kt), 1.0 / math.sqrt(q.shape[-1]))
+    scores = scale(matmul(q, kt), 1.0 / math.sqrt(q.shape[-1]))
     alpha = softmax(scores, axis=-1)
-    return T.matmul(alpha, v), alpha
+    return matmul(alpha, v), alpha
 
 
 def multiscale_attention_unfused(qkv, scales):
@@ -457,13 +487,33 @@ def normal_cdf_clipped(x):
     return 0.5 * (1.0 + np.tanh(p))
 
 
+def frame_of(rec):
+    """Source frame of each token of an ``AttentionRecord``; tokens run
+    frame-major, then grid row, then grid column."""
+    return np.arange(rec.alpha.shape[0]) // rec.scale ** 2
+
+
+def cell_of(rec):
+    """(grid row, grid column) of each token of an ``AttentionRecord``."""
+    rem = np.arange(rec.alpha.shape[0]) % rec.scale ** 2
+    return np.stack([rem // rec.scale, rem % rec.scale], axis=1)
+
+
+def short_long_masks(frames):
+    """Boolean [N, N] masks of same-frame (short) and cross-frame (long)
+    pairs for the tokens' source frames; they partition the score matrix."""
+    same = frames[:, None] == frames[None, :]
+    return same, ~same
+
+
 def attention_rollout_loop(rec, frame):
     """``attention.attention_rollout`` as a per-token loop: paint each of the
     frame's tokens' mean received weight onto its grid cell."""
     received = rec.alpha.mean(axis=0)
     heat = np.zeros((rec.map_h, rec.map_w), dtype=rec.alpha.dtype)
     ch, cw = rec.map_h // rec.scale, rec.map_w // rec.scale
-    for token in np.nonzero(rec.frame_of == frame)[0]:
-        r, col = rec.cell_of[token]
+    cells = cell_of(rec)
+    for token in np.nonzero(frame_of(rec) == frame)[0]:
+        r, col = cells[token]
         heat[r * ch:(r + 1) * ch, col * cw:(col + 1) * cw] = received[token]
     return heat

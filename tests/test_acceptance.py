@@ -22,13 +22,12 @@ from padformer.costs import count_cost
 from padformer.embed import conv_ffn, conv_token_embed
 from padformer.harness import evaluate, format_log, train_model
 from padformer.metrics import compute_metrics
-from padformer.model import (ModelConfig, cross_entropy, forward, init_params,
-                             param_count)
+from padformer.model import ModelConfig, cross_entropy, forward, init_params
 from padformer.synth import generate_dataset, split_records
 
 from gradcheck import assert_grad_close, numeric_grad, scalarize
-from oracles import (concat, metrics_recount, multiscale_attention_naive, scale,
-                     softmax, split)
+from oracles import (concat, matmul, metrics_recount, multiscale_attention_naive,
+                     scale, softmax, split)
 
 # the experiment configs that `padformer ablate --config` also runs
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -80,15 +79,17 @@ def test_criterion_1_gradient_suite(capsys):
     # case keeps its inputs
     ffn = np.random.default_rng(2)
     ffn_weights = [ffn.normal(size=s) for s in ((6, 3, 1, 1), (6,), (3, 6, 1, 1), (3,))]
+    # the linear case's weight, drawn apart from `rng` too
+    linear_weight = np.random.default_rng(3).normal(size=(3, 3))
     cases = [
         ("add", lambda a, b: scalarize(T.add(a, b), p6), [r(2, 3), r(2, 3)]),
-        ("add bias broadcast", lambda a, b: scalarize(T.add(a, b), p12),
-         [r(2, 2, 3), r(3)]),
+        ("linear", lambda x, w, b: scalarize(T.linear(x, w, b), p12),
+         [r(2, 2, 3).reshape(4, 3), linear_weight, r(3)]),
         ("scale", lambda a: scalarize(scale(a, -1.7), p6), [r(2, 3)]),
         ("conv_ffn", lambda y, *w: scalarize(conv_ffn(y, *w), p6), [r(2, 3)] + ffn_weights),
-        ("matmul", lambda a, b: scalarize(T.matmul(a, b), p6),
+        ("matmul", lambda a, b: scalarize(matmul(a, b), p6),
          [r(3, 4), r(4, 2)]),
-        ("matmul batched", lambda a, b: scalarize(T.matmul(a, b), p12),
+        ("matmul batched", lambda a, b: scalarize(matmul(a, b), p12),
          [r(2, 3, 4), r(2, 4, 2)]),
         ("conv2d 3x3 s1 p1", lambda x, w, b: scalarize(
             T.conv2d(x, w, b, pad=1), p96),
@@ -318,17 +319,16 @@ def test_criterion_9_cost_counter(capsys):
         return ModelConfig(frames=frames, height=16, width=16, embed_stride=8,
                            embed_channels=6, scales=scales, depth=1)
 
-    ratios = []
-    for t in (1, 2, 4):
-        a = count_cost(cfg_for(t)).attention_flops
-        b = count_cost(cfg_for(2 * t)).attention_flops
-        ratios.append(b / a)
+    def attention_flops(cfg):
+        return sum(e.flops for e in count_cost(cfg).entries if e.name.endswith(".attention"))
+
+    ratios = [attention_flops(cfg_for(2 * t)) / attention_flops(cfg_for(t)) for t in (1, 2, 4)]
     quadratic = all(r == 4.0 for r in ratios)
 
     inventory_ok = True
     for cfg in (cfg_for(2, scales=(1, 2)), RunConfig().model_config()):
         counted = count_cost(cfg).total_params
-        live = param_count(init_params(cfg))
+        live = sum(p.data.size for p in init_params(cfg).values())
         inventory_ok = inventory_ok and counted == live
     report(capsys, 9, quadratic and inventory_ok,
            f"attention FLOPs ratio when doubling clip length: "

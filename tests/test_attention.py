@@ -12,13 +12,13 @@ from hypothesis import strategies as st
 from padformer import tensor as T
 from padformer.attention import (AttentionRecord, attention_rollout,
                                  multiscale_attention, partition_patches,
-                                 short_long_masks, unpartition_patches,
-                                 upsample_nearest)
+                                 unpartition_patches, upsample_nearest)
 from padformer.tensor import ShapeError
 
 from gradcheck import scalarize
-from oracles import (attention_rollout_loop, head_attention, multiscale_attention_naive,
-                     multiscale_attention_unfused, partition_plain, partition_taped, split,
+from oracles import (attention_rollout_loop, cell_of, frame_of, head_attention,
+                     multiscale_attention_naive, multiscale_attention_unfused,
+                     partition_plain, partition_taped, short_long_masks, split,
                      unpartition_plain, unpartition_taped)
 
 
@@ -134,9 +134,9 @@ def test_partition_order_and_bookkeeping():
     # frame-major then grid row then grid column
     n = partition_patches(np.zeros((2, 4, 4, 1)), 2).shape[-2]
     rec = record_for(n, scale=2)
-    assert rec.frame_of.tolist() == [0, 0, 0, 0, 1, 1, 1, 1]
-    assert rec.cell_of[:4].tolist() == [[0, 0], [0, 1], [1, 0], [1, 1]]
-    assert rec.cell_of[4:].tolist() == [[0, 0], [0, 1], [1, 0], [1, 1]]
+    assert frame_of(rec).tolist() == [0, 0, 0, 0, 1, 1, 1, 1]
+    assert cell_of(rec)[:4].tolist() == [[0, 0], [0, 1], [1, 0], [1, 1]]
+    assert cell_of(rec)[4:].tolist() == [[0, 0], [0, 1], [1, 0], [1, 1]]
 
 
 def test_partition_token_contents():
@@ -154,7 +154,7 @@ def test_partition_token_contents():
        channels=st.integers(1, 3), cell=st.integers(1, 3),
        batch=st.sampled_from([None, 1, 2, 3]))
 def test_partition_order_matches_record_bookkeeping(seed, t, scale, channels, cell, batch):
-    # token i of a clip is the map cell (frame_of[i], cell_of[i]) of that clip's
+    # token i of a clip is the map cell (frame_of(r)[i], cell_of(r)[i]) of that clip's
     # record: the mapping export-attention paints heat maps by
     rng = np.random.default_rng(seed)
     side = scale * cell
@@ -168,7 +168,7 @@ def test_partition_order_matches_record_bookkeeping(seed, t, scale, channels, ce
         clip_map = x.data if batch is None else x.data[r.clip]
         clip_tokens = tokens if batch is None else tokens[r.clip]
         assert r.alpha.shape == (t * scale * scale,) * 2
-        for i, (frame, (row, col)) in enumerate(zip(r.frame_of, r.cell_of)):
+        for i, (frame, (row, col)) in enumerate(zip(frame_of(r), cell_of(r))):
             patch = clip_map[frame, row * cell:(row + 1) * cell,
                              col * cell:(col + 1) * cell]
             assert np.array_equal(clip_tokens[i], patch.reshape(-1))
@@ -474,10 +474,18 @@ def test_attention_rows_are_stochastic(seed, t, scales):
 
 def test_short_and_long_range_masks_partition_the_scores():
     n = partition_patches(np.zeros((2, 4, 4, 2)), 2).shape[-2]
-    same, cross = short_long_masks(record_for(n, scale=2).frame_of)
+    same, cross = short_long_masks(frame_of(record_for(n, scale=2)))
     assert same.shape == (8, 8)
     assert np.all(same ^ cross)
     assert same.sum() == 2 * 4 * 4 and cross.sum() == 64 - 32
+    # the same-frame pairs are the diagonal blocks of alpha read as [T, l*l, T, l*l]
+    recs = []
+    multiscale_attention(rand_qkv(3, 3, 6, 4, 4), (2,), records=recs)
+    alpha = recs[0].alpha
+    blocks = alpha.reshape(3, 4, 3, 4)
+    diagonal = np.stack([blocks[f, :, f, :] for f in range(3)])
+    same, _ = short_long_masks(frame_of(recs[0]))
+    assert np.array_equal(alpha[same], diagonal.reshape(-1))
 
 
 def test_frame_swap_equivariance_two_frames():

@@ -290,7 +290,7 @@ def test_ffn_slope_is_within_its_bound_of_the_exact_gelu_slope():
     # with 1x1 identity kernels and zero biases the input gradient is the slope
     x = T.param(np.linspace(-12.0, 12.0, 2 ** 20 + 1).reshape(-1, 1))
     with T.Tape():
-        T.backward(scalarize(gelu(x), np.ones(x.size)))
+        T.backward(scalarize(gelu(x), np.ones(x.data.size)))
     _, want = gelu_exact(x.data)
     assert np.abs(x.grad - want).max() <= SLOPE_BOUND
 

@@ -13,8 +13,7 @@ from padformer import tensor as T
 from padformer.config import ConfigError, RunConfig
 from padformer.model import (INIT_STD, ModelConfig, VideoClip, augment_frames,
                              cross_entropy, forward, frame_indices, init_params,
-                             load_checkpoint,
-                             param_count, parameter_shapes, predict_score,
+                             load_checkpoint, parameter_shapes, predict_score,
                              sample_frames, save_checkpoint, train_step,
                              zero_grads)
 from padformer.tensor import AdamState, ShapeError
@@ -223,7 +222,8 @@ def test_inventory_matches_declared_shapes():
     params = init_params(TINY)
     shapes = parameter_shapes(TINY)
     assert {n: p.shape for n, p in params.items()} == shapes
-    assert param_count(params) == sum(int(np.prod(s)) for s in shapes.values())
+    assert sum(p.data.size for p in params.values()) == sum(
+        int(np.prod(s)) for s in shapes.values())
 
 
 def test_no_positional_parameters():

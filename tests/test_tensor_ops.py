@@ -11,9 +11,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from padformer import tensor as T
-from oracles import (concat, conv2d_backward_naive, conv2d_naive, conv2d_plain,
-                     layer_norm_plain, scale, softmax, split)
+from oracles import (bias_add, concat, conv2d_backward_naive, conv2d_naive, conv2d_plain,
+                     layer_norm_plain, matmul, scale, softmax, split)
 from test_gradients import gelu
+
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "padformer"
 
 
 def t64(x):
@@ -37,6 +41,42 @@ def test_every_engine_export_is_used_by_the_program():
     assert sorted(set(T.__all__) - used) == []
 
 
+def referenced_names(paths):
+    """Every name, attribute and imported name the sources at ``paths`` read."""
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name.rpartition(".")[2])
+    return names
+
+
+def public_members(path):
+    """Public top-level functions and classes of a module, and the public
+    methods and properties of its classes, as ``name`` or ``Class.name``."""
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+            continue
+        yield node.name
+        if isinstance(node, ast.ClassDef):
+            yield from (f"{node.name}.{item.name}" for item in node.body
+                        if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"))
+
+
+def test_every_public_package_member_is_used_by_the_program():
+    # a member only the tests call belongs in tests/oracles.py, not the package
+    program = [p for p in sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+               + sorted((ROOT / "scripts").glob("*.py")) if not p.name.startswith("test_")]
+    used = referenced_names(program)
+    unused = [f"{path.name}::{member}" for path in sorted(PACKAGE.glob("*.py"))
+              for member in public_members(path) if member.rpartition(".")[2] not in used]
+    assert unused == []
+
+
 def test_no_module_imports_scipy():
     # numpy is the one runtime dependency, init_params' truncated normal included
     importers = set()
@@ -54,23 +94,25 @@ def test_no_module_imports_scipy():
 
 
 class TestMatmul:
+    # the batched matmul oracle of the unfused attention and of ``linear``
+
     def test_identity(self):
         a = t64(np.eye(2))
         b = t64([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(T.matmul(a, b).data, [[1.0, 2.0], [3.0, 4.0]])
+        assert np.array_equal(matmul(a, b).data, [[1.0, 2.0], [3.0, 4.0]])
 
     def test_selector_row(self):
-        out = T.matmul(t64([[1.0, 0.0]]), t64([[5.0], [7.0]]))
+        out = matmul(t64([[1.0, 0.0]]), t64([[5.0], [7.0]]))
         assert np.array_equal(out.data, [[5.0]])
 
     def test_inner_mismatch_names_both_shapes(self):
         with pytest.raises(T.ShapeError) as exc:
-            T.matmul(t64(np.zeros((2, 3))), t64(np.zeros((4, 2))))
+            matmul(t64(np.zeros((2, 3))), t64(np.zeros((4, 2))))
         assert "(2, 3)" in str(exc.value) and "(4, 2)" in str(exc.value)
 
     def test_batch_mismatch_rejected(self):
         with pytest.raises(T.ShapeError):
-            T.matmul(t64(np.zeros((2, 3, 4))), t64(np.zeros((3, 4, 5))))
+            matmul(t64(np.zeros((2, 3, 4))), t64(np.zeros((3, 4, 5))))
 
     def test_input_gradient_only_for_a_param_or_taped_input(self):
         # a constant operand (the embed's frame patches) gets None; the other
@@ -82,9 +124,9 @@ class TestMatmul:
             grads = {}
             for name, make in (("const", t64), ("leaf", T.param),
                                ("taped", lambda v: scale(t64(v), 1.0))):
-                out = T.matmul(make(a), T.param(b))
+                out = matmul(make(a), T.param(b))
                 grads[name, "a"] = out.node.backward(g)
-                out = T.matmul(T.param(a), make(b))
+                out = matmul(T.param(a), make(b))
                 grads[name, "b"] = out.node.backward(g)
         assert grads["const", "a"][0] is None and grads["const", "b"][1] is None
         want_ga = np.matmul(g, b.transpose(0, 2, 1))
@@ -248,6 +290,8 @@ class TestShapeOps:
     def test_add_shape_mismatch(self):
         with pytest.raises(T.ShapeError):
             T.add(t64(np.zeros(3)), t64(np.zeros(4)))
+        with pytest.raises(T.ShapeError):               # no bias broadcast
+            T.add(t64(np.zeros((2, 3))), t64(np.zeros(3)))
 
     def test_mean_axes(self):
         x = np.arange(24, dtype=np.float64).reshape(2, 3, 4)
@@ -264,8 +308,8 @@ class TestShapeOps:
 
 def squared_norm(x):
     """x . x as a scalar; x reaches the matmul through both operands."""
-    n = x.size
-    return T.reshape(T.matmul(T.reshape(x, (1, n)), T.reshape(x, (n, 1))), ())
+    n = x.data.size
+    return T.reshape(matmul(T.reshape(x, (1, n)), T.reshape(x, (n, 1))), ())
 
 
 class TestBackwardBasics:
@@ -369,15 +413,58 @@ def test_channel_rows_broadcast_is_the_plain_broadcast(seed, dtype, n, c):
 
 
 @settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 10_000), dtype=FLOATS,
-       lead=st.lists(st.integers(1, 9), min_size=1, max_size=3), c=st.integers(1, 13),
-       trail=st.sampled_from([(), (2,)]))
-def test_bias_add_is_the_plain_broadcast(seed, dtype, lead, c, trail):
+@given(seed=st.integers(0, 10_000), dtype=FLOATS, n=st.integers(1, 300),
+       k=st.integers(1, 12), c=st.integers(1, 13))
+def test_bias_add_is_the_plain_broadcast(seed, dtype, n, k, c):
+    # linear's in-place bias over channel_rows; row counts 64 does not divide too
     rng = np.random.default_rng(seed)
-    a = rng.normal(size=tuple(lead) + (c,) + trail).astype(dtype)
-    b = rng.normal(size=(c,) + trail).astype(dtype)
-    out = T.add(T.tensor(a, dtype), T.tensor(b, dtype))
-    assert out.data.tobytes() == (a + b).tobytes()
+    x, w = rng.normal(size=(n, k)).astype(dtype), rng.normal(size=(k, c)).astype(dtype)
+    b = rng.normal(size=c).astype(dtype)
+    out = T.linear(T.tensor(x, dtype), T.tensor(w, dtype), T.tensor(b, dtype))
+    assert out.data.tobytes() == (x @ w + b).tobytes()
+
+
+class TestLinear:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n,k,m", [(1, 1, 1), (4, 3, 3), (128, 48, 12), (37, 5, 2)])
+    def test_is_the_matmul_and_bias_add_oracle_bitwise(self, dtype, n, k, m):
+        # forward and every gradient of the embed's and the head's affine map
+        rng = np.random.default_rng(n * 100 + k * 10 + m)
+        x, w, g = (rng.normal(size=s).astype(dtype) for s in ((n, k), (k, m), (n, m)))
+        b = rng.normal(size=m).astype(dtype)
+        with T.Tape():
+            got = T.linear(T.param(x), T.param(w), T.param(b))
+            got_grads = got.node.backward(g)
+            want = bias_add(matmul(T.param(x), T.param(w)), T.param(b))
+            g_mm, want_gb = want.node.backward(g)
+            want_gx, want_gw = want.node.parents[0].node.backward(g_mm)
+        assert got.data.dtype == dtype and got.data.tobytes() == want.data.tobytes()
+        for got_g, want_g in zip(got_grads, (want_gx, want_gw, want_gb)):
+            assert got_g.dtype == dtype and got_g.tobytes() == want_g.tobytes()
+
+    def test_constant_input_gets_no_gradient(self):
+        rng = np.random.default_rng(4)
+        x, w, b, g = (rng.normal(size=s) for s in ((5, 3), (3, 2), (2,), (5, 2)))
+        with T.Tape():
+            grads = {name: T.linear(make(x), T.param(w), T.param(b)).node.backward(g)
+                     for name, make in (("const", t64), ("leaf", T.param),
+                                        ("taped", lambda v: scale(t64(v), 1.0)))}
+        assert grads["const"][0] is None
+        for name in ("leaf", "taped"):
+            assert np.array_equal(grads[name][0], g @ w.T)
+        for got in grads.values():
+            assert np.array_equal(got[1], x.T @ g) and np.array_equal(got[2], g.sum(axis=0))
+
+    @pytest.mark.parametrize("x,w,b", [
+        ((4,), (4, 2), (2,)),           # x is not [N, K]
+        ((3, 4), (4, 2, 1), (2,)),      # w is not [K, M]
+        ((3, 4), (5, 2), (2,)),         # inner extents differ
+        ((3, 4), (4, 2), (3,)),         # bias is not [M]
+        ((3, 4), (4, 2), (1, 2)),
+    ])
+    def test_bad_shapes_raise(self, x, w, b):
+        with pytest.raises(T.ShapeError, match="linear"):
+            T.linear(t64(np.zeros(x)), t64(np.zeros(w)), t64(np.zeros(b)))
 
 
 @settings(max_examples=40, deadline=None)
