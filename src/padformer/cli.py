@@ -83,8 +83,9 @@ def cmd_train(args) -> int:
     result = train_model(cfg, split_records(records, "train"))
     out = Path(args.out or cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "train_log.csv").write_text(format_log(result.log_rows), encoding="utf-8")
+    # the checkpoint first: a refused checkpoint write leaves the old log in place
     save_checkpoint(out / "checkpoint", result.params, dump_config(cfg))
+    (out / "train_log.csv").write_text(format_log(result.log_rows), encoding="utf-8")
     last = f", final loss {result.log_rows[-1][1]:.4f}" if result.log_rows else ""
     print(f"trained {cfg.steps} steps{last}; checkpoint at {out / 'checkpoint'}")
     return 0

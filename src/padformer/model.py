@@ -170,11 +170,6 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     return tt.record(np.asarray(loss, dtype=z.dtype), (logits,), back)
 
 
-def zero_grads(params: dict):
-    for p in params.values():
-        p.grad = None
-
-
 def train_step(batch, params: dict, opt_state: AdamState, cfg: ModelConfig,
                lr: float) -> float:
     """One optimization step on ``batch`` = (frames [B, T, 3, H, W], int
@@ -185,16 +180,13 @@ def train_step(batch, params: dict, opt_state: AdamState, cfg: ModelConfig,
         raise ValueError("train_step: empty batch")
     with tt.Tape():
         total = cross_entropy(forward(frames, params, cfg), labels)
-        tt.backward(total)
+        grads = tt.backward(total)
     loss_value = float(total.data)
-    finite_grads = all(np.isfinite(p.grad).all() for p in params.values()
-                       if p.grad is not None)
+    finite_grads = all(np.isfinite(g).all() for g in grads.values())
     if not (np.isfinite(loss_value) and finite_grads):
-        zero_grads(params)
         what = "gradient" if np.isfinite(loss_value) else "loss"
         raise FloatingPointError(f"non-finite {what} at step {opt_state.step}")
-    adam_step(params, opt_state, lr)
-    zero_grads(params)
+    adam_step(params, grads, opt_state, lr)
     return loss_value
 
 
@@ -281,7 +273,8 @@ def save_checkpoint(path, params: dict, config_text: str = ""):
 
 def load_checkpoint(path, cfg: ModelConfig) -> dict:
     """Read a checkpoint back into trainable tensors and validate the full
-    inventory (names and shapes) against ``cfg``."""
+    inventory (names and shapes) against ``cfg``; every tensor must have
+    ``embed.weight``'s dtype."""
     root = Path(path)
     manifest = root / "manifest.tsv"
     if not manifest.is_file():
@@ -310,4 +303,9 @@ def load_checkpoint(path, cfg: ModelConfig) -> dict:
             raise ShapeError(
                 f"checkpoint tensor {name} has shape {params[name].shape}, "
                 f"config expects {shape}")
+    dtype = params["embed.weight"].dtype
+    for name in want:
+        if params[name].dtype != dtype:
+            raise ValueError(f"checkpoint tensor {name} is {params[name].dtype}, "
+                             f"but embed.weight is {dtype}")
     return params

@@ -124,14 +124,14 @@ CHECKS = [
 ]
 
 
-def run_selftest(emit=print) -> int:
+def run_selftest() -> int:
     """Run every invariant check; returns the number of failures."""
     failures = 0
     for name, fn in CHECKS:
         problem = fn()
         if problem is None:
-            emit(f"ok - {name}")
+            print(f"ok - {name}")
         else:
-            emit(f"FAIL - {name}: {problem}")
+            print(f"FAIL - {name}: {problem}")
             failures += 1
     return failures

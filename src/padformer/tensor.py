@@ -1,13 +1,13 @@
 """Dense-tensor engine with reverse-mode differentiation.
 
 Every tensor wraps a contiguous row-major numpy buffer (float32 for training,
-float64 for gradient checking). Differentiable primitives record themselves on
-the active tape; ``backward`` replays the tape in reverse and accumulates
-gradients into leaf tensors. The engine keeps only the primitives the model
-calls: the residual ``add``, the affine ``linear`` (the embed's patch GEMM and
-the head), ``conv2d``, ``layer_norm``, ``reshape``, ``transpose`` and the
-pool's ``mean``. Higher modules record their own (the attention layer, the
-feed-forward block, the loss).
+float64 for gradient checking). Each primitive records its output tensor, with
+its parents and backward closure, on the active tape; ``backward`` replays the
+tape in reverse and returns the leaf gradients. The engine keeps only the
+primitives the model calls: the residual ``add``, the affine ``linear`` (the
+embed's patch GEMM and the head), ``conv2d``, ``layer_norm``, ``reshape``,
+``transpose`` and the pool's ``mean``. Higher modules record their own (the
+attention layer, the feed-forward block, the loss).
 
 Dtype rule: every primitive returns, and back-propagates, its operands'
 dtype, so a float32 model trains and scores in float32 throughout. ``record``
@@ -31,6 +31,9 @@ __all__ = [
     "mean", "AdamState", "adam_step",
     "channel_rows", "reshape_runs",
 ]
+
+_NORM_EPS = 1e-5                # layer_norm's variance floor
+_ADAM_EPS = 1e-8                # adam_step's denominator floor
 
 # glibc malloc settings (mallopt parameter id, value). A training step frees
 # its whole graph at once when its tape exits, and by default glibc then trims
@@ -107,19 +110,21 @@ def reshape_runs(a: np.ndarray, shape: tuple) -> np.ndarray:
 class Tensor:
     """N-dimensional array, optionally attached to the active tape.
 
-    ``requires_grad`` marks a leaf (parameter): ``backward`` accumulates into
-    its ``grad`` buffer across calls until the harness zeroes it.
+    ``requires_grad`` marks a leaf (parameter), whose gradient ``backward``
+    returns. A primitive's output on a tape is a graph node: ``parents`` are
+    its operands and ``back`` maps its output gradient to theirs; both are
+    None off the tape and after the tape exits.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "node")
+    __slots__ = ("data", "requires_grad", "parents", "back")
 
     def __init__(self, data: np.ndarray, requires_grad: bool = False):
         if data.dtype not in (np.float32, np.float64):
             raise TypeError(f"unsupported dtype {data.dtype}; use float32 or float64")
         self.data = _contig(data)
-        self.grad = None
         self.requires_grad = requires_grad
-        self.node = None
+        self.parents = None
+        self.back = None
 
     @property
     def shape(self):
@@ -143,15 +148,6 @@ def param(data) -> Tensor:
     return Tensor(np.asarray(data), requires_grad=True)
 
 
-class _Node:
-    __slots__ = ("out", "parents", "backward")
-
-    def __init__(self, out, parents, backward):
-        self.out = out
-        self.parents = parents
-        self.backward = backward
-
-
 class Tape:
     """Ordered record of primitive applications.
 
@@ -169,11 +165,11 @@ class Tape:
 
     def __exit__(self, *exc):
         _STATE.stack.pop()
-        # Tensor.node -> _Node.out -> Tensor is a reference cycle; cutting it
-        # lets reference counting free the graph here instead of waiting for
-        # the cyclic collector, which runs rarely on a batched step.
-        for node in self.nodes:
-            node.out.node = None
+        # a caller may hold the loss past the tape (train_step does, through
+        # adam_step); its parents would keep the whole graph and the saved
+        # activations alive, so each node drops its links here
+        for out in self.nodes:
+            out.parents = out.back = None
         self.nodes = []
         return False
 
@@ -206,43 +202,31 @@ def record(out_data: np.ndarray, parents, backward_fn) -> Tensor:
     out = Tensor(_contig(out_data))
     tape = _active_tape()
     if tape is not None:
-        node = _Node(out, tuple(parents), backward_fn)
-        out.node = node
-        tape.nodes.append(node)
+        out.parents = tuple(parents)
+        out.back = backward_fn
+        tape.nodes.append(out)
     return out
 
 
-def backward(loss: Tensor) -> None:
-    """Accumulate d(loss)/d(leaf) into the ``grad`` of every reachable leaf."""
+def backward(loss: Tensor) -> dict:
+    """d(loss)/d(leaf) for every leaf the loss reaches, as {leaf tensor:
+    gradient array}. The tape is left as it was, so a second call returns
+    the same gradients."""
     if loss.data.size != 1:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.data.shape}")
     tape = _active_tape()
-    if loss.node is None or tape is None or loss.node not in tape.nodes:
+    if loss.back is None or tape is None or loss not in tape.nodes:
         raise ValueError("loss is not attached to the active tape")
 
-    grads = {id(loss): np.ones_like(loss.data)}
-    leaves = {}
-    for node in reversed(tape.nodes):
-        g = grads.pop(id(node.out), None)
+    grads = {loss: np.ones_like(loss.data)}
+    for out in reversed(tape.nodes):
+        g = grads.pop(out, None)
         if g is None:
             continue
-        for parent, pg in zip(node.parents, node.backward(g)):
-            if pg is None:
-                continue
-            key = id(parent)
-            if key in grads:
-                grads[key] = grads[key] + pg
-            else:
-                grads[key] = pg
-            if parent.requires_grad and parent.node is None:
-                leaves[key] = parent
-
-    for key, leaf in leaves.items():
-        g = grads[key]
-        if leaf.grad is None:
-            leaf.grad = g.copy()
-        else:
-            leaf.grad += g
+        for parent, pg in zip(out.parents, out.back(g)):
+            if pg is not None:
+                grads[parent] = grads[parent] + pg if parent in grads else pg
+    return {t: g for t, g in grads.items() if t.requires_grad and t.back is None}
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +254,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     out = xd @ wd
     rows, bias = channel_rows(out, b.data)
     rows += bias
-    need_gx = x.requires_grad or x.node is not None
+    need_gx = x.requires_grad or x.back is not None
 
     def back(g):
         return (g @ wd.T if need_gx else None), xd.T @ g, g.sum(axis=0)
@@ -344,7 +328,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, pad: int = 0) -> Tensor:
 # ---------------------------------------------------------------------------
 # normalization
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Standardize along the last (channel) axis, then apply a per-channel affine."""
     xd = x.data
     c = xd.shape[-1]
@@ -354,7 +338,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     # channel means as a GEMV with a 1/C column: .mean over a 12-long last axis is ~1.8x slower
     avg = np.full((c, 1), 1.0 / c, dtype=xd.dtype)
     d = xd - xd @ avg
-    inv = 1.0 / np.sqrt((d * d) @ avg + eps)
+    inv = 1.0 / np.sqrt((d * d) @ avg + _NORM_EPS)
     xhat = d * inv
     rows, gain, shift = channel_rows(xhat, gamma.data, beta.data)
     out = rows * gain
@@ -422,21 +406,23 @@ class AdamState:
         self.v = {name: np.zeros_like(p.data) for name, p in params.items()}
 
 
-def adam_step(params: dict, state: AdamState, lr: float, eps: float = 1e-8):
-    """One Adam update with bias correction; params with ``grad=None`` are skipped."""
+def adam_step(params: dict, grads: dict, state: AdamState, lr: float):
+    """One Adam update with bias correction, each param moved by its gradient
+    in ``grads`` (keyed by tensor, as ``backward`` returns them); a param
+    without one is skipped."""
     b1, b2 = 0.9, 0.999             # moment decay rates
     state.step += 1
     t = state.step
     c1 = 1.0 - b1 ** t
     c2 = 1.0 - b2 ** t
     for name, p in params.items():
-        if p.grad is None:
+        g = grads.get(p)
+        if g is None:
             continue
-        g = p.grad
         m = state.m[name]
         v = state.v[name]
         m *= b1
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * (g * g)
-        p.data -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+        p.data -= lr * (m / c1) / (np.sqrt(v / c2) + _ADAM_EPS)

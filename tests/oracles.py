@@ -301,7 +301,7 @@ def matmul(a, b):
     if ad.shape[:-2] != bd.shape[:-2]:
         raise T.ShapeError(f"matmul: batch extents differ for shapes {ad.shape} and {bd.shape}")
     out = np.matmul(ad, bd)
-    need_ga, need_gb = (t.requires_grad or t.node is not None for t in (a, b))
+    need_ga, need_gb = (t.requires_grad or t.back is not None for t in (a, b))
 
     def back(g):
         return (np.matmul(g, np.swapaxes(bd, -1, -2)) if need_ga else None,

@@ -53,13 +53,13 @@ def _channels_last(a):
 def _fd_check(build, arrays, rtol):
     tensors = [T.param(a) for a in arrays]
     with T.Tape():
-        T.backward(build(*tensors))
+        grads = T.backward(build(*tensors))
 
     def fwd():
         return float(build(*[T.Tensor(a) for a in arrays]).data)
 
     for t, arr in zip(tensors, arrays):
-        assert_grad_close(t.grad, numeric_grad(fwd, arr), rtol)
+        assert_grad_close(grads[t], numeric_grad(fwd, arr), rtol)
 
 
 def test_criterion_1_gradient_suite(capsys):
@@ -129,8 +129,8 @@ def test_criterion_1_gradient_suite(capsys):
     params = init_params(CHECK_CONFIG, dtype=np.float64)
     batch = rng.random((2, 2, 3, 16, 16))
     with T.Tape():
-        T.backward(cross_entropy(forward(batch, params, CHECK_CONFIG), [1, 0]))
-    analytic = {name: p.grad.copy() for name, p in params.items()}
+        grads = T.backward(cross_entropy(forward(batch, params, CHECK_CONFIG), [1, 0]))
+    analytic = {name: grads[p].copy() for name, p in params.items()}
 
     def model_loss():
         return float(cross_entropy(forward(batch, params, CHECK_CONFIG), [1, 0]).data)

@@ -260,6 +260,16 @@ def test_non_finite_gradient_stops_training_without_artifacts(pipeline, tmp_path
     assert not (out / "checkpoint").exists()
 
 
+def test_refused_checkpoint_write_keeps_the_old_train_log(pipeline, tmp_path, capsys):
+    out = tmp_path / "run"
+    (out / "checkpoint").mkdir(parents=True)
+    (out / "checkpoint" / "notes.txt").write_text("keep\n", encoding="utf-8")
+    (out / "train_log.csv").write_text("old log\n", encoding="utf-8")
+    expect_error(["train", "--config", str(pipeline["cfg"]), "--out", str(out)],
+                 "holds no manifest.tsv; not replacing it", capsys)
+    assert (out / "train_log.csv").read_text(encoding="utf-8") == "old log\n"
+
+
 def test_train_rejects_beta1_of_one_before_any_step(pipeline, tmp_path, capsys):
     cfg = tmp_path / "beta.cfg"
     cfg.write_text(MICRO + "beta1=1.0\n", encoding="utf-8")

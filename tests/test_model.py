@@ -14,8 +14,7 @@ from padformer.config import ConfigError, RunConfig
 from padformer.model import (INIT_STD, ModelConfig, VideoClip, augment_frames,
                              cross_entropy, forward, frame_indices, init_params,
                              load_checkpoint, parameter_shapes, predict_score,
-                             sample_frames, save_checkpoint, train_step,
-                             zero_grads)
+                             sample_frames, save_checkpoint, train_step)
 from padformer.tensor import AdamState, ShapeError
 
 from gradcheck import assert_grad_close, numeric_grad
@@ -111,20 +110,20 @@ def test_batched_pass_equals_single_clip_passes(seed, b, t, scales):
     labels = [c.label for c in clips]
     with T.Tape():
         logits = forward(frames, params, cfg)
-        T.backward(cross_entropy(logits, labels))
-    batched = {name: p.grad.copy() for name, p in params.items()}
-    zero_grads(params)
+        batched = T.backward(cross_entropy(logits, labels))
 
-    single = []
+    single, summed = [], dict.fromkeys(params.values(), 0.0)
     for clip in clips:
         with T.Tape():
             z = forward(clip.frames, params, cfg)
-            T.backward(cross_entropy(z, [clip.label]))
+            got = T.backward(cross_entropy(z, [clip.label]))
         single.append(z.data)
+        for p, g in got.items():
+            summed[p] = summed[p] + g
     assert logits.shape == (b, 2)
     assert np.abs(logits.data - np.concatenate(single)).max() <= 1e-9
     for name, p in params.items():
-        assert np.abs(batched[name] - p.grad / b).max() <= 1e-9, name
+        assert np.abs(batched[p] - summed[p] / b).max() <= 1e-9, name
 
 
 def test_frame_permutation_per_clip_inside_a_batch():
@@ -254,9 +253,9 @@ def test_cross_entropy_gradient_matches_finite_differences():
     z = rng.normal(size=(1, 5))
     logits = T.param(z.copy())
     with T.Tape():
-        T.backward(cross_entropy(logits, [2]))
+        grads = T.backward(cross_entropy(logits, [2]))
     num = numeric_grad(lambda: float(cross_entropy(T.Tensor(z), [2]).data), z)
-    assert_grad_close(logits.grad, num, rtol=1e-6)
+    assert_grad_close(grads[logits], num, rtol=1e-6)
 
 
 def test_cross_entropy_rejects_bad_label():
@@ -278,9 +277,8 @@ def test_full_model_gradient_check():
     clip = rand_clip(TINY, seed=6, label=1, dtype=np.float64)
 
     with T.Tape():
-        T.backward(cross_entropy(forward(clip.frames, params, TINY), [clip.label]))
-    analytic = {name: p.grad.copy() for name, p in params.items()}
-    zero_grads(params)
+        grads = T.backward(cross_entropy(forward(clip.frames, params, TINY), [clip.label]))
+    analytic = {name: grads[p].copy() for name, p in params.items()}
 
     def fwd():
         return float(cross_entropy(forward(clip.frames, params, TINY), [clip.label]).data)
@@ -309,7 +307,7 @@ def test_non_finite_gradient_stops_the_step(nan_ffn_backward):
         train_step(as_batch(rand_clip(TINY, seed=7)), params, state, TINY, lr=1e-3)
     assert state.step == 0
     for n, p in params.items():
-        assert np.array_equal(p.data, before[n]) and p.grad is None
+        assert np.array_equal(p.data, before[n])
 
 
 def test_non_finite_loss_stops_the_step():
@@ -321,7 +319,7 @@ def test_non_finite_loss_stops_the_step():
             FloatingPointError, match="non-finite loss at step 0"):
         train_step(as_batch(rand_clip(TINY, seed=7)), params, state, TINY, lr=1e-3)
     for n, p in params.items():
-        assert np.array_equal(p.data, before[n]) and p.grad is None
+        assert np.array_equal(p.data, before[n])
 
 
 def test_empty_batch_rejected():
@@ -485,6 +483,18 @@ def test_checkpoint_round_trip(tmp_path):
         assert np.array_equal(loaded[n].data, params[n].data)
         assert loaded[n].dtype == params[n].dtype
     assert (tmp_path / "ckpt" / "config.cfg").read_text() == "seed=3\n"
+
+
+def test_checkpoint_of_mixed_dtypes_names_the_first_odd_tensor(tmp_path):
+    params = init_params(TINY)
+    params["head.bias"] = T.param(params["head.bias"].data.astype(np.float64))
+    save_checkpoint(tmp_path / "ckpt", params)
+    with pytest.raises(ValueError, match="^checkpoint tensor head.bias is float64, "
+                                         "but embed.weight is float32$"):
+        load_checkpoint(tmp_path / "ckpt", TINY)
+    save_checkpoint(tmp_path / "ckpt", init_params(TINY, dtype=np.float64))
+    loaded = load_checkpoint(tmp_path / "ckpt", TINY)
+    assert all(p.dtype == np.float64 for p in loaded.values())
 
 
 def test_checkpoint_shape_validation(tmp_path):
