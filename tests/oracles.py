@@ -413,10 +413,12 @@ def multiscale_attention_unfused(qkv, scales):
 
 def patch_cut(frames, s):
     """The embed's patch cut, [..., 3, H, W] -> [N * H/s * W/s, 3*s*s], as one
-    numpy reshape copy of the permuted frames."""
+    numpy reshape copy of the permuted frames. At s = 1 the reshape alone
+    would be a strided view, and numpy's matmul rounds a strided operand
+    differently, so the copy is explicit."""
     cin, h, w = frames.shape[-3:]
     g = frames.reshape(-1, cin, h // s, s, w // s, s).transpose(0, 2, 4, 1, 3, 5)
-    return g.reshape(-1, cin * s * s)
+    return g.reshape(-1, cin * s * s).copy()
 
 
 def partition_plain(f, scale_):
