@@ -69,7 +69,7 @@ def unpartition_patches(tokens: np.ndarray, shape: tuple, scale: int) -> np.ndar
 
 
 def conv_project(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """The [q | k | v] map: one 3x3 stride-1 convolution with 3C outputs.
+    """The [q | k | v] map: one stride-1, size-keeping convolution with 3C outputs.
 
     ``w`` [3C, C, 3, 3] and ``b`` [3C] hold the q, k and v kernels at output
     offsets 0, C and 2C. It stays a named function for two reasons: this
@@ -77,7 +77,7 @@ def conv_project(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     perfbench's tracer patches ``model.conv_project`` to time it as the
     ``layers.i.qkv`` component.
     """
-    return tt.conv2d(x, w, b, pad=1)
+    return tt.conv2d(x, w, b, pad=w.shape[-1] // 2)
 
 
 # Score entries per block: a head's clips run max(1, 2**16 // N**2) at a time,
@@ -176,11 +176,3 @@ def attention_rollout(rec: AttentionRecord, frame: int) -> np.ndarray:
         raise ValueError(f"frame {frame} out of range for {n_frames}-frame record")
     cells = rec.alpha.mean(axis=0).reshape(n_frames, l, l)[frame]
     return cells.repeat(rec.map_h // l, axis=0).repeat(rec.map_w // l, axis=1)
-
-
-def upsample_nearest(heat: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Nearest-neighbour upsample used when exporting maps at frame resolution."""
-    h, w = heat.shape
-    rows = (np.arange(out_h) * h) // out_h
-    cols = (np.arange(out_w) * w) // out_w
-    return heat[np.ix_(rows, cols)]

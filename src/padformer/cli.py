@@ -18,7 +18,7 @@ import numpy as np
 
 from .ablation import (ablation_clip_length, ablation_scales,
                        write_ablation_csv)
-from .attention import attention_rollout, upsample_nearest
+from .attention import attention_rollout
 from .config import RunConfig, dump_config, load_config, parse_config
 from .costs import count_cost
 from .harness import check_clip, evaluate, format_log, train_model
@@ -133,12 +133,12 @@ def cmd_export_attention(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    s = mcfg.embed_stride                   # one map cell per s x s pixels
     for f in range(mcfg.frames):
         heat = attention_rollout(rec, f)
         stem = f"attn_L{args.layer}_H{args.head}_F{f}"
         vpt.write_tensor(out / f"{stem}.vpt", heat.astype(np.float32))
-        write_pgm(out / f"{stem}.pgm",
-                  upsample_nearest(heat, mcfg.height, mcfg.width))
+        write_pgm(out / f"{stem}.pgm", heat.repeat(s, 0).repeat(s, 1))
     print(f"wrote {mcfg.frames} attention maps for clip {record.clip_id} to {out}")
     return 0
 

@@ -11,10 +11,11 @@ affine cost (2 per element). All counts are exact integers.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .model import FFN_RATIO, NUM_CLASSES, ModelConfig
+from .model import ModelConfig, parameter_shapes
 
 FLOP_CONVENTION = "flops = 2 * multiply-accumulates; activations 1/element"
 
@@ -56,38 +57,36 @@ class CostReport:
             writer.writerow(["total", self.total_flops, self.total_params])
 
 
-def _conv_cost(cout, cin, kh, kw, out_h, out_w, frames):
-    return 2 * cout * cin * kh * kw * out_h * out_w * frames
-
-
 def count_cost(cfg: ModelConfig) -> CostReport:
-    """Per-clip cost of one forward pass under the declared config."""
-    t, c, k = cfg.frames, cfg.embed_channels, NUM_CLASSES
-    mh, mw = cfg.map_h, cfg.map_w
-    hid = FFN_RATIO * c
-    elems = t * c * mh * mw
-    s = cfg.embed_stride
-    heads = len(cfg.scales)
+    """Per-clip cost of one forward pass under the declared config; parameter
+    counts and the weight-GEMM FLOPs are read from ``parameter_shapes``."""
+    size = {name: math.prod(shape) for name, shape in parameter_shapes(cfg).items()}
+    t, c, heads = cfg.frames, cfg.embed_channels, len(cfg.scales)
+    pos = t * cfg.map_h * cfg.map_w                 # token positions per clip
+    elems = pos * c
 
-    entries = [CostEntry("embed", _conv_cost(c, 3, s, s, mh, mw, t),
-                         c * 3 * s * s + c)]
+    def params(*prefixes):
+        return sum(n for name, n in size.items() if name.startswith(prefixes))
+
+    def gemm(*weights):                             # 2 FLOPs per weight per position
+        return 2 * pos * sum(size[w] for w in weights)
+
+    entries = [CostEntry("embed", gemm("embed.weight"), params("embed."))]
     for i in range(cfg.depth):
-        entries.append(CostEntry(
-            f"layers.{i}.qkv", 3 * _conv_cost(c, c, 3, 3, mh, mw, t),
-            3 * (c * c * 3 * 3 + c)))
+        p = f"layers.{i}."
         att = 0
         for l in cfg.scales:
             n = t * l * l
-            d = (c // heads) * (mh // l) * (mw // l)
+            d = (c // heads) * (cfg.map_h // l) * (cfg.map_w // l)
             att += 4 * n * n * d + n * n
-        entries.append(CostEntry(f"layers.{i}.attention", att, 0))
-        entries.append(CostEntry(f"layers.{i}.residual", 2 * elems, 0))
-        entries.append(CostEntry(f"layers.{i}.norm", 2 * elems, 2 * c))
-        entries.append(CostEntry(
-            f"layers.{i}.ffn",
-            _conv_cost(hid, c, 1, 1, mh, mw, t) + hid * mh * mw * t
-            + _conv_cost(c, hid, 1, 1, mh, mw, t),
-            hid * c + hid + c * hid + c))
+        entries += [
+            CostEntry(p + "qkv", gemm(p + "qkv.weight"), params(p + "qkv.")),
+            CostEntry(p + "attention", att, 0),
+            CostEntry(p + "residual", 2 * elems, 0),
+            CostEntry(p + "norm", 2 * elems, params(p + "norm.")),
+            CostEntry(p + "ffn", gemm(p + "ffn1.weight", p + "ffn2.weight")
+                      + pos * size[p + "ffn1.bias"], params(p + "ffn1.", p + "ffn2."))]
     entries.append(CostEntry("pool", elems + c, 0))
-    entries.append(CostEntry("head", 2 * c * k + k, c * k + k))
+    entries.append(CostEntry("head", 2 * size["head.weight"] + size["head.bias"],
+                             params("head.")))
     return CostReport(entries=tuple(entries))

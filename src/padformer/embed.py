@@ -20,14 +20,14 @@ from . import tensor as tt
 from .tensor import Tensor
 
 
-def conv_token_embed(frames: np.ndarray, w: Tensor, b: Tensor, stride: int) -> Tensor:
-    """Tokenize each frame with one non-overlapping convolution (kernel extent
-    equal to the stride); [..., T, 3, H, W] pixels -> [..., T, H/s, W/s, C].
-    The constant frames are cut in numpy into (3, s, s) patches, the kernel's
-    order, one kernel row of s pixels per copied run, and mapped by one
-    ``tt.linear`` with the flattened kernel and the bias."""
+def conv_token_embed(frames: np.ndarray, w: Tensor, b: Tensor) -> Tensor:
+    """Tokenize each frame with one non-overlapping convolution whose stride
+    is its kernel's extent s = w.shape[-1]; [..., T, 3, H, W] pixels ->
+    [..., T, H/s, W/s, C]. The constant frames are cut in numpy into (3, s, s)
+    patches, the kernel's order, one kernel row of s pixels per copied run,
+    and mapped by one ``tt.linear`` with the flattened kernel and the bias."""
     lead, (cin, h, wid) = frames.shape[:-3], frames.shape[-3:]
-    s = stride
+    s = w.shape[-1]
     patches = frames.reshape(-1, cin, h // s, s, wid // s, s).transpose(0, 2, 4, 1, 3, 5)
     cols = Tensor(tt.reshape_runs(patches, (-1, cin * s * s)))   # [N * H/s * W/s, 3*s*s]
     wmat = tt.transpose(tt.reshape(w, (w.shape[0], cin * s * s)), (1, 0))

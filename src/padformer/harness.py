@@ -94,12 +94,12 @@ def score_split(params, mcfg: ModelConfig, records):
 
 def evaluate(params, mcfg: ModelConfig, records, cfg: RunConfig,
              split: str = "test") -> MetricReport:
-    """Fix the threshold on the dev split, then report metrics on ``split``.
-    ``cfg`` is not read; it stays for the callers that pass it positionally."""
-    dev_scores = score_split(params, mcfg, split_records(records, "dev"))
-    threshold = select_threshold(dev_scores)
-    target = score_split(params, mcfg, split_records(records, split))
-    return compute_metrics(target, threshold)
+    """Fix the threshold on the dev split, then report metrics on ``split``
+    (the dev scores themselves when ``split`` is dev). ``cfg`` is not read; it
+    stays for the callers that pass it positionally."""
+    dev = score_split(params, mcfg, split_records(records, "dev"))
+    target = dev if split == "dev" else score_split(params, mcfg, split_records(records, split))
+    return compute_metrics(target, select_threshold(dev))
 
 
 def format_log(rows) -> str:

@@ -127,7 +127,7 @@ def forward(frames, params: dict, cfg: ModelConfig, records: list | None = None)
     if frames.ndim not in (4, 5) or frames.shape[-4:] != want:
         raise ShapeError(f"clip shape {frames.shape} does not match config {want}")
     x = conv_token_embed(frames.reshape((-1,) + want), params["embed.weight"],
-                         params["embed.bias"], cfg.embed_stride)
+                         params["embed.bias"])
     for i in range(cfg.depth):
         qkv = conv_project(x, params[f"layers.{i}.qkv.weight"],
                            params[f"layers.{i}.qkv.bias"])

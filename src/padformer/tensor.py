@@ -199,7 +199,7 @@ def record(out_data: np.ndarray, parents, backward_fn) -> Tensor:
         if p.data.dtype != out_data.dtype:
             op = sys._getframe(1).f_code.co_name           # the calling primitive
             raise TypeError(f"{op}: {p.data.dtype} operand gave a {out_data.dtype} output")
-    out = Tensor(_contig(out_data))
+    out = Tensor(out_data)
     tape = _active_tape()
     if tape is not None:
         out.parents = tuple(parents)

@@ -96,7 +96,7 @@ def test_criterion_1_gradient_suite(capsys):
          [_channels_last(r(2, 2, 4, 4)), r(3, 2, 3, 3), r(3)]),
         # the frames are constants: the weight and bias are checked
         ("conv_token_embed patchify", lambda w, b, frames=r(2, 3, 4, 4): scalarize(
-            conv_token_embed(frames, w, b, 2), p16),
+            conv_token_embed(frames, w, b), p16),
          [r(2, 3, 2, 2), r(2)]),
         ("conv2d [B, T] batch", lambda x, w, b: scalarize(
             T.conv2d(x, w, b, pad=1), p192),

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from padformer import tensor as T
 from padformer.attention import (AttentionRecord, attention_rollout,
                                  multiscale_attention, partition_patches,
-                                 unpartition_patches, upsample_nearest)
+                                 unpartition_patches)
 from padformer.tensor import ShapeError
 
 from gradcheck import scalarize
@@ -554,8 +554,3 @@ def test_rollout_rejects_frame_out_of_range():
     with pytest.raises(ValueError):
         attention_rollout(rollout_record(), frame=2)
 
-
-def test_nearest_upsample_repeats_blocks():
-    heat = np.array([[1.0, 2.0], [3.0, 4.0]])
-    up = upsample_nearest(heat, 4, 4)
-    assert np.array_equal(up, np.repeat(np.repeat(heat, 2, axis=0), 2, axis=1))

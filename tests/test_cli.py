@@ -109,6 +109,14 @@ def test_export_attention_files(pipeline, tmp_path):
     heat = vpt.read_tensor(out / "attn_L0_H1_F0.vpt")
     assert heat.shape == (2, 2)        # map resolution, upsampled only for PGM
 
+    # each PGM is its map with every cell painted over its stride x stride pixels
+    stride = 8                         # MICRO's embed_stride
+    for name in vpts:
+        heat = vpt.read_tensor(out / name)
+        write_pgm(tmp_path / "want.pgm", np.kron(heat, np.ones((stride, stride), heat.dtype)))
+        assert (out / name).with_suffix(".pgm").read_bytes() == \
+            (tmp_path / "want.pgm").read_bytes()
+
 
 def test_untrained_attention_is_near_uniform(pipeline, tmp_path):
     # fresh init puts the score products near zero, so every token should

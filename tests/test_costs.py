@@ -1,6 +1,7 @@
 """Tests for the analytic FLOP and parameter counter."""
 
 import numpy as np
+import pytest
 
 from padformer.costs import CostReport, count_cost
 from padformer.model import ModelConfig, init_params
@@ -48,6 +49,29 @@ def test_embed_entry_matches_conv_formula():
     assert embed.name == "embed"
     assert embed.flops == 2 * 5 * 3 * 8 * 8 * 4 * 2 * 3
     assert embed.params == 5 * 3 * 8 * 8 + 5
+
+
+@pytest.mark.parametrize("cfg", [
+    cfg_with(),
+    cfg_with(frames=3, height=32, width=16, embed_stride=4, embed_channels=8, depth=2),
+], ids=["micro", "stride4-depth2"])
+def test_layer_pool_and_head_entries_match_their_formulas(cfg):
+    # the hand formulas for C channels over P = T * map_h * map_w positions:
+    # 3x3 convs with 3C outputs, two 1x1 convs through 4C with one GELU pass
+    # over the hidden, a mean pool and a C -> 2 linear head
+    c, p = cfg.embed_channels, cfg.frames * cfg.map_h * cfg.map_w
+    want = {}
+    for i in range(cfg.depth):
+        want.update({
+            f"layers.{i}.qkv": (2 * 3 * c * c * 9 * p, 27 * c * c + 3 * c),
+            f"layers.{i}.residual": (2 * c * p, 0),
+            f"layers.{i}.norm": (2 * c * p, 2 * c),
+            f"layers.{i}.ffn": (16 * c * c * p + 4 * c * p, 8 * c * c + 5 * c),
+        })
+    want["pool"] = (c * p + c, 0)
+    want["head"] = (4 * c + 2, 2 * c + 2)
+    got = {e.name: (e.flops, e.params) for e in count_cost(cfg).entries}
+    assert {name: got[name] for name in want} == want
 
 
 def test_total_params_equals_initialized_parameter_count():

@@ -45,7 +45,7 @@ def test_token_map_shape_full_resolution():
     rng = np.random.default_rng(0)
     frames = rng.random((8, 3, 224, 224), dtype=np.float32)
     w = T.tensor(rng.standard_normal((96, 3, 8, 8)))
-    out = conv_token_embed(frames, w, zeros(96), stride=8)
+    out = conv_token_embed(frames, w, zeros(96))
     assert out.shape == (8, 28, 28, 96)
 
 
@@ -53,14 +53,14 @@ def test_token_map_shape_minimal():
     rng = np.random.default_rng(1)
     frames = rng.random((1, 3, 16, 16), dtype=np.float32)
     w = T.tensor(rng.standard_normal((6, 3, 8, 8)))
-    out = conv_token_embed(frames, w, zeros(6), stride=8)
+    out = conv_token_embed(frames, w, zeros(6))
     assert out.shape == (1, 2, 2, 6)
 
 
 def test_zero_clip_zero_bias_gives_zero_map():
     frames = np.zeros((2, 3, 16, 16), dtype=np.float32)
     w = T.tensor(np.random.default_rng(2).standard_normal((4, 3, 8, 8)))
-    out = conv_token_embed(frames, w, zeros(4), stride=8)
+    out = conv_token_embed(frames, w, zeros(4))
     assert np.array_equal(out.data, np.zeros((2, 2, 2, 4), dtype=np.float32))
 
 
@@ -73,8 +73,8 @@ def test_translation_consistency_at_stride_granularity():
     shifted[:, :, :, stride:] = x[:, :, :, :-stride]
     w = T.tensor(rng.standard_normal((5, 3, stride, stride)))
     b = T.tensor(rng.standard_normal(5))
-    base = conv_token_embed(x, w, b, stride=stride).data
-    moved = conv_token_embed(shifted, w, b, stride=stride).data
+    base = conv_token_embed(x, w, b).data
+    moved = conv_token_embed(shifted, w, b).data
     assert np.allclose(moved[:, :, 1:], base[:, :, :-1], atol=1e-6)
 
 
@@ -90,7 +90,7 @@ def test_patchify_embed_matches_the_strided_conv_oracle(seed, stride, lead, cout
     w = T.param(rng.normal(size=(cout, 3, stride, stride)))
     b = T.param(rng.normal(size=cout))
     with T.Tape():
-        out = conv_token_embed(frames, w, b, stride)
+        out = conv_token_embed(frames, w, b)
         g = rng.normal(size=out.shape)
         grads = T.backward(scalarize(out, g))
     x = frames.reshape((-1,) + frames.shape[-3:])
@@ -114,7 +114,7 @@ def test_run_wise_patch_cut_is_the_plain_cut(seed, dtype, stride, b, t, step, ro
     source = rng.random((b, t * step, 3, rows * stride, cols * stride)).astype(dtype)
     frames = source[:, ::step]
     w, bias = rng.normal(size=(cout, 3, stride, stride)), rng.normal(size=cout)
-    out = conv_token_embed(frames, T.tensor(w, dtype), T.tensor(bias, dtype), stride)
+    out = conv_token_embed(frames, T.tensor(w, dtype), T.tensor(bias, dtype))
     wmat = np.ascontiguousarray(w.astype(dtype).reshape(cout, -1).T)
     want = patch_cut(frames, stride) @ wmat + bias.astype(dtype)
     assert out.data.dtype == dtype
@@ -124,11 +124,14 @@ def test_run_wise_patch_cut_is_the_plain_cut(seed, dtype, stride, b, t, step, ro
 # --------------------------------------------------------------- projection
 
 def test_identity_projection_reproduces_token_map():
+    # the projection pads by half its kernel's extent k, so an identity
+    # kernel of any odd k reproduces the map
     rng = np.random.default_rng(4)
     x = T.tensor(rng.standard_normal((2, 4, 4, 6)))
-    wid = T.tensor(np.concatenate([identity_kernel(6, 3)] * 3))
-    for m in thirds(conv_project(x, wid, zeros(18))):
-        assert np.array_equal(m, x.data)
+    for k in (1, 3, 5):
+        wid = T.tensor(np.concatenate([identity_kernel(6, k)] * 3))
+        for m in thirds(conv_project(x, wid, zeros(18))):
+            assert np.array_equal(m, x.data)
 
 
 def test_zero_projection_kernels():

@@ -1,5 +1,5 @@
 """Training batches: ``make_batch`` against the list-based oracle, and the
-store-shape check at the batch boundary."""
+store-shape check at the batch boundary; how often ``evaluate`` scores."""
 
 from types import SimpleNamespace
 
@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from padformer.config import RunConfig
-from padformer.harness import make_batch
+from padformer import harness
+from padformer.harness import evaluate, make_batch
+from padformer.model import init_params
 from padformer.rng import stream
 from padformer.tensor import ShapeError
 
@@ -69,3 +71,20 @@ def test_a_clip_that_does_not_fit_the_config_is_named(s, h):
     with pytest.raises(ShapeError, match=rf"^clip clip0 has shape \({s}, 3, {h}, {h}\), "
                                          r"config needs at least 2 frames of \(3, 16, 16\)$"):
         batches(make_batch, records_for(0, 1, s, h, h), cfg, 1)
+
+
+@pytest.mark.parametrize("split", ["dev", "test"])
+def test_evaluate_scores_each_clip_of_dev_and_split_once(split, monkeypatch):
+    cfg = RunConfig(frames=2, source_frames=2, height=16, width=16)
+    mcfg = cfg.model_config()
+    records = [SimpleNamespace(split=name, **vars(r)) for name in ("dev", "test")
+               for r in records_for(len(name), 3, 2)]
+    calls, score = [], harness.predict_score
+
+    def counted(clip, *args, **kwargs):
+        calls.append(clip)
+        return score(clip, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "predict_score", counted)
+    evaluate(init_params(mcfg), mcfg, records, cfg, split=split)
+    assert len(calls) == len({"dev", split}) * 3

@@ -11,6 +11,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from padformer import attention as A
+from padformer import embed as E
 from padformer import tensor as T
 from oracles import (bias_add, concat, conv2d_backward_naive, conv2d_naive, conv2d_plain,
                      layer_norm_plain, matmul, scale, softmax, split)
@@ -44,35 +46,45 @@ def test_every_engine_export_is_used_by_the_program():
 
 def test_every_engine_default_is_passed_by_the_program():
     # a defaulted parameter that no other module passes is a knob nothing
-    # turns, so it belongs in a module constant; calls count as ``tt.<name>``
-    # or, for a name imported ``from .tensor``, as ``<name>``
-    passed = {}                     # name -> (most positional args, keywords)
-    for path in Path(T.__file__).parent.glob("*.py"):
-        if path.name == "tensor.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if not isinstance(node, ast.Call):
+    # turns, so it belongs in a module constant. The engine's exports and the
+    # public functions of the layer modules are checked; calls count as
+    # ``tt.<name>`` or, for a name imported from the module, as ``<name>``
+    unpassed = []
+    for module, names in ((T, T.__all__), (E, public_functions(E)), (A, public_functions(A))):
+        passed = {}                 # name -> (most positional args, keywords)
+        for path in PACKAGE.glob("*.py"):
+            if path.name == Path(module.__file__).name:
                 continue
-            func = node.func
-            if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) \
-                    and func.value.id == "tt":
-                name = func.attr
-            elif isinstance(func, ast.Name):
-                name = func.id
-            else:
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) \
+                        and func.value.id == "tt":
+                    name = func.attr
+                elif isinstance(func, ast.Name):
+                    name = func.id
+                else:
+                    continue
+                most, keywords = passed.get(name, (0, set()))
+                passed[name] = (max(most, len(node.args)),
+                                keywords | {k.arg for k in node.keywords})
+        for name in names:
+            fn = getattr(module, name)
+            if not inspect.isfunction(fn):
                 continue
             most, keywords = passed.get(name, (0, set()))
-            passed[name] = (max(most, len(node.args)), keywords | {k.arg for k in node.keywords})
-    unpassed = []
-    for name in T.__all__:
-        fn = getattr(T, name)
-        if not inspect.isfunction(fn):
-            continue
-        most, keywords = passed.get(name, (0, set()))
-        unpassed += [f"{name}({p.name})"
-                     for i, p in enumerate(inspect.signature(fn).parameters.values())
-                     if p.default is not p.empty and i >= most and p.name not in keywords]
+            unpassed += [f"{module.__name__}.{name}({p.name})"
+                         for i, p in enumerate(inspect.signature(fn).parameters.values())
+                         if p.default is not p.empty and i >= most and p.name not in keywords]
     assert unpassed == []
+
+
+def public_functions(module):
+    """The public functions ``module`` defines (not those it imports)."""
+    return [name for name, fn in vars(module).items()
+            if inspect.isfunction(fn) and fn.__module__ == module.__name__
+            and not name.startswith("_")]
 
 
 def referenced_names(paths):
